@@ -252,7 +252,12 @@ def selftest() -> None:
                      "(ite (> x y) (+ y 3) (+ x 3)))"),
            # Correct, but the grammar offers no <=.
            (between, "(define-fun f ((x Int) (y Int)) Int "
-                     "(ite (<= x y) (+ x 1) (+ y 1)))")]
+                     "(ite (<= x y) (+ x 1) (+ y 1)))"),
+           # At offset 0 "between" is unrealizable (x = y + 1 leaves no
+           # integer between), so even the reference must fail there.
+           (dict(between, text=between["text"].replace(" 2)", " 0)")),
+            "(define-fun f ((x Int) (y Int)) Int "
+            "(ite (> x y) (+ y 1) (+ x 1)))")]
     for p, text in good:
         why = check(p, text)
         if why:
