@@ -6,11 +6,14 @@ Usage (from the root of a checkout):
         --trace 0
     python3 perfbench/run.py          # every workload, one after another
 
-A run generates the workload's problems from the seed, then repeats
-rounds until ``--seconds`` have passed. A round is one fresh child
-process (child.py) that imports synthlia from ./src, parses every
-problem and solves them one after another with ``SolverConfig()``.
-Every solution is checked by the independent checker (check.py).
+A run generates the workload's problems from the seed, then makes a
+fixed number of rounds (ROUNDS, scaled by ``--seconds``), the same for
+every commit however fast it solves. A
+round is one fresh child process (child.py) that imports synthlia from
+./src, parses every problem and solves them one after another with
+``SolverConfig()``. Every solution is checked by the independent
+checker (check.py). ``--seconds`` defaults to ``run_seconds`` of
+BENCHMARK.json.
 
 With ``--trace 0`` every round is untraced and the end-to-end metrics
 are printed. With ``--trace 1`` untraced and traced rounds alternate;
@@ -18,7 +21,8 @@ the traced ones give the per-layer metrics, and the pair gives the
 tracing overhead. The last line of standard output is one JSON object
 with ``correct``, ``attempted``, ``failed`` and ``metrics``. The exit
 code is 1 when a solution fails the checker, 2 when the program cannot
-be run.
+be run, and 3 when no round finished within its wall limit (the
+metrics then have no value).
 """
 
 from __future__ import annotations
@@ -43,9 +47,27 @@ from check import Spec, check, count_nodes, read_solution, \
 from tracing import PARSE  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
+# The metric names and units, and the default run length, live in
+# BENCHMARK.json only.
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
+LAYER_METRICS = {m["name"]: m["unit"] for m in BENCHMARK["per_layer"]}
+
 # A round that runs past this is stopped and its unfinished problems
 # count as failed. SolverConfig.timeout stays unset: see README.md.
 ROUND_WALL_S = 60.0
+# No further round is started once a run has lasted this long, so that
+# a run ends within three minutes even when the solver has slowed down
+# several times over; the rounds it skips are not attempted.
+RUN_WALL_S = 90.0
+# Untraced rounds per run at BENCHMARK.json's run_seconds; another
+# --seconds scales them (half as many untraced/traced pairs with
+# --trace 1). The count, and with it every median taken over the
+# rounds, does not depend on the speed being measured. A round takes
+# about 3.5 s on si-cegqi, 13 s on si-portfolio, 9 s on nonsi-enum and
+# 6 s on io-enum; si-cegqi gets the most rounds because its run-to-run
+# spread was the widest.
+ROUNDS = {"si-cegqi": 7, "si-portfolio": 2, "nonsi-enum": 2, "io-enum": 3}
 # Set-up-only child processes per run, on top of the rounds' set-ups:
 # set-up takes 0.1-0.3 s, so one sample is mostly noise.
 SETUPS = 8
@@ -90,6 +112,13 @@ def run_round(texts: list[str], mode: str, spans_path: Path,
     return rnd
 
 
+def round_modes(workload: str, seconds: float, trace: bool) -> list[str]:
+    n = ROUNDS[workload] * seconds / BENCHMARK["run_seconds"]
+    if trace:
+        return ["plain", "traced"] * max(1, round(n / 2))
+    return ["plain"] * max(1, round(n))
+
+
 def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     problems = make_workload(workload, seed)
     texts = [p["text"] for p in problems]
@@ -101,18 +130,21 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     run_round(texts, "setup", spans_path)
     setups = [run_round(texts, "setup", spans_path)["setup_s"]
               for _ in range(SETUPS)]
+    modes = round_modes(workload, seconds, trace)
     rounds: list[dict] = []
-    while True:
-        mode = "traced" if trace and len(rounds) % 2 == 1 else "plain"
+    for mode in modes:
         rounds.append(run_round(texts, mode, spans_path))
         r = rounds[-1]
         print(f"# round {len(rounds)} {mode}: set-up {r['setup_s']:.4f} s, "
               f"loop {r['end']['suite_s'] if r['end'] else float('nan'):.4f}"
               " s", file=sys.stderr)
         if r["timed_out"]:
+            print(f"# round {len(rounds)} ran past its wall limit of "
+                  f"{ROUND_WALL_S:.0f} s", file=sys.stderr)
             break
-        if time.monotonic() - t0 >= seconds and (
-                not trace or r["traced"]):
+        if len(rounds) < len(modes) and time.monotonic() - t0 > RUN_WALL_S:
+            print(f"# run past {RUN_WALL_S:.0f} s: stopped after "
+                  f"{len(rounds)} of {len(modes)} rounds", file=sys.stderr)
             break
     return judge(problems, rounds, trace, setups)
 
@@ -139,50 +171,44 @@ def judge(problems: list[dict], rounds: list[dict], trace: bool,
                 else:
                     body = read_solution(Spec(p["text"]), rec["solution"])
                     nodes.setdefault(p["id"], count_nodes(body))
-    plain = [r for r in rounds if not r["traced"]]
+    plain = [r for r in rounds if not r["traced"] and r["end"] is not None]
     traced = [r for r in rounds if r["traced"] and r["end"] is not None]
-    if trace and not traced:
-        raise Broken("no traced round finished within its wall limit")
     res = {"correct": not wrong, "attempted": len(problems) * len(rounds),
-           "failed": failed, "wrong": wrong, "rounds": len(rounds)}
-    if trace:
+           "failed": failed, "wrong": wrong, "rounds": len(rounds),
+           "finished": bool(plain and (traced or not trace))}
+    if not res["finished"]:
+        names = LAYER_METRICS if trace else END_TO_END
+        res["metrics"] = {n: (None, u) for n, u in names.items()}
+    elif trace:
         res["metrics"] = layer_metrics(plain, traced)
     else:
-        res["metrics"] = end_to_end(problems, plain, nodes, setups)
+        res["metrics"] = end_to_end(plain, nodes, setups)
     return res
 
 
-def _median_of(rounds, get):
-    return statistics.median(get(r) for r in rounds if r["end"] is not None)
-
-
-def end_to_end(problems, plain, nodes, setups) -> dict:
-    """Every round solves the same problems in the same order in a fresh
-    process, so a problem's cost differs between rounds only by what
-    other processes on the machine take from it: each problem's time is
-    its fastest round. Set-up is the median of every set-up the run
-    made."""
-    per_problem = []
-    for p in problems:
-        times = [r["results"][p["id"]]["ms"] for r in plain
-                 if p["id"] in r["results"]]
-        if times:
-            per_problem.append(min(times))
-    p90 = statistics.quantiles(per_problem, n=10)[-1]
-    above = sum(1 for t in per_problem if t > p90)
-    print(f"# {len(per_problem)} problems timed, {above} above the p90",
-          file=sys.stderr)
-    return {
-        "setup_s": (statistics.median(
-            setups + [r["setup_s"] for r in plain]), "s"),
-        "suite_s": (sum(per_problem) / 1000.0, "s"),
-        "solve_ms_p50": (statistics.median(per_problem), "ms"),
-        "solve_ms_p90": (p90, "ms"),
-        "solution_nodes_mean": (statistics.mean(nodes.values())
-                                if nodes else 0.0, "nodes"),
-        "peak_rss_mb": (_median_of(plain, lambda r: r["end"]["rss_mb"]),
-                        "MB"),
+def end_to_end(plain, nodes, setups) -> dict:
+    """suite_s is the median over the run's fixed number of finished
+    untraced rounds of the solve loop's wall time. p50 and p90 are taken
+    over every solve of those rounds, so a garbage collection that lands
+    on a different problem in each round counts at its share. Set-up is
+    the median of every set-up the run made."""
+    solves = [rec["ms"] for r in plain for rec in r["results"].values()]
+    p90 = statistics.quantiles(solves, n=10)[-1] if len(solves) > 1 \
+        else None
+    if p90 is not None:
+        above = sum(1 for t in solves if t > p90)
+        print(f"# {len(solves)} solves timed, {above} above the p90",
+              file=sys.stderr)
+    m = {
+        "setup_s": statistics.median(setups + [r["setup_s"] for r in plain]),
+        "suite_s": statistics.median(r["end"]["suite_s"] for r in plain),
+        "solve_ms_p50": statistics.median(solves),
+        "solve_ms_p90": p90,
+        "solution_nodes_mean": statistics.mean(nodes.values())
+        if nodes else None,
+        "peak_rss_mb": statistics.median(r["end"]["rss_mb"] for r in plain),
     }
+    return {n: (m[n], u) for n, u in END_TO_END.items()}
 
 
 def _ratio(a, b) -> float:
@@ -225,6 +251,9 @@ def layer_metrics(plain, traced) -> dict:
     def outcomes(pred):
         return sum(v for k, v in outc.items() if pred(k))
 
+    def loop_s(rounds):
+        return statistics.median(r["end"]["suite_s"] for r in rounds)
+
     stats = {}
     for rec in first["results"].values():
         for k, v in rec["stats"].items():
@@ -239,79 +268,68 @@ def layer_metrics(plain, traced) -> dict:
         r["end"]["totals"].get("enumsearch.solve_enum@driver",
                                {"s": 0.0})["s"] for r in traced)
     memo = first["end"]["memo"]
-    overhead = _ratio(_median_of(traced, lambda r: r["end"]["suite_s"]),
-                      _median_of(plain, lambda r: r["end"]["suite_s"]))
+    pattern_checks = first["end"]["counts"].get("enumsearch.pattern_matches",
+                                                0)
     m = {
-        "sygus.parse_ms": (ms(incl(PARSE)), "ms"),
-        "classify.calls": (calls_prefixed("classify."), "count"),
-        "classify.ms": (ms(prefixed("classify.")), "ms"),
-        "cegqi.instances": (stats.get("cegqi_iterations", 0), "count"),
-        "cegqi.loop_self_ms": (ms(own("cegqi.solve_cegqi@")), "ms"),
-        "cegqi.select_ms": (ms(incl("cegqi.select_terms@cegqi")), "ms"),
-        "cegqi.extract_ms": (ms(incl("cegqi.extract_solution@driver")),
-                             "ms"),
-        "cegqi.recon_ms": (ms(incl(recon)), "ms"),
-        "cegqi.recon_attempts": (recon_calls, "count"),
-        "cegqi.recon_success_ratio": (
-            _ratio(recon_calls - recon_failed, recon_calls), "ratio"),
-        "problem.terms_upto_ms": (ms(incl("problem.terms_upto@cegqi")), "ms"),
-        "enumsearch.compile_ms": (ms(incl(
+        "sygus.parse_ms": ms(incl(PARSE)),
+        "classify.calls": calls_prefixed("classify."),
+        "classify.ms": ms(prefixed("classify.")),
+        "cegqi.instances": stats.get("cegqi_iterations", 0),
+        "cegqi.loop_self_ms": ms(own("cegqi.solve_cegqi@")),
+        "cegqi.select_ms": ms(incl("cegqi.select_terms@cegqi")),
+        "cegqi.extract_ms": ms(incl("cegqi.extract_solution@driver")),
+        "cegqi.recon_ms": ms(incl(recon)),
+        "cegqi.recon_attempts": recon_calls,
+        "cegqi.recon_success_ratio":
+            _ratio(recon_calls - recon_failed, recon_calls),
+        "problem.terms_upto_ms": ms(incl("problem.terms_upto@cegqi")),
+        "enumsearch.compile_ms": ms(incl(
             "enumsearch.default_grammar@driver",
-            "enumsearch.grammar_to_datatypes@driver")), "ms"),
-        "enumsearch.enumerated": (enumerated, "count"),
-        "enumsearch.retained_ratio": (
-            _ratio(stats.get("retained", 0), enumerated), "ratio"),
-        "enumsearch.pruned_rewriter": (stats.get("pruned_rewriter", 0),
-                                       "count"),
-        "enumsearch.pruned_signature": (stats.get("pruned_signature", 0),
-                                        "count"),
-        "enumsearch.blocked_exact": (stats.get("blocked_exact", 0), "count"),
-        "enumsearch.cex_points": (stats.get("counterexample_points", 0),
-                                  "count"),
-        "enumsearch.process_ms": (ms(incl("enumsearch.process@enumsearch")),
-                                  "ms"),
-        "enumsearch.pattern_checks": (
-            first["end"]["counts"].get("enumsearch.pattern_matches", 0),
-            "count"),
-        "enumsearch.generalize_ms": (ms(incl(
-            "enumsearch.generalize_pattern@enumsearch")), "ms"),
-        "enumsearch.signature_ms": (ms(incl(
-            "enumsearch.signature_of@enumsearch")), "ms"),
-        "enumsearch.candidates_per_s": (_ratio(enumerated, enum_s), "1/s"),
-        "enumsearch.smt_check_ratio": (_ratio(
+            "enumsearch.grammar_to_datatypes@driver")),
+        "enumsearch.enumerated": enumerated,
+        "enumsearch.retained_ratio":
+            _ratio(stats.get("retained", 0), enumerated),
+        "enumsearch.pruned_rewriter": stats.get("pruned_rewriter", 0),
+        "enumsearch.pruned_signature": stats.get("pruned_signature", 0),
+        "enumsearch.blocked_exact": stats.get("blocked_exact", 0),
+        "enumsearch.cex_points": stats.get("counterexample_points", 0),
+        "enumsearch.process_ms": ms(incl("enumsearch.process@enumsearch")),
+        "enumsearch.pattern_checks": pattern_checks,
+        "enumsearch.pattern_checks_per_candidate":
+            _ratio(pattern_checks, enumerated),
+        "enumsearch.generalize_ms": ms(incl(
+            "enumsearch.generalize_pattern@enumsearch")),
+        "enumsearch.candidates_per_s": _ratio(enumerated, enum_s),
+        "enumsearch.signature_ms": ms(incl(
+            "enumsearch.signature_of@enumsearch")),
+        "enumsearch.smt_check_ratio": _ratio(
             calls("qfsolver.check_sat@enumsearch"),
-            calls("problem.apply_solution@enumsearch")), "ratio"),
-        "qfsolver.calls": (qf_calls, "count"),
-        "qfsolver.self_ms": (qf_self_ms, "ms"),
-        "qfsolver.us_per_call": (_ratio(qf_self_ms * 1000.0, qf_calls), "us"),
-        "qfsolver.unsat_ratio": (_ratio(outcomes(
+            calls("problem.apply_solution@enumsearch")),
+        "qfsolver.calls": qf_calls,
+        "qfsolver.self_ms": qf_self_ms,
+        "qfsolver.us_per_call": _ratio(qf_self_ms * 1000.0, qf_calls),
+        "qfsolver.unsat_ratio": _ratio(outcomes(
             lambda k: k.startswith("qfsolver.") and k.endswith("!unsat")),
-            qf_calls), "ratio"),
-        "qfsolver.resource_limits": (outcomes(
+            qf_calls),
+        "qfsolver.resource_limits": outcomes(
             lambda k: k.startswith("qfsolver.")
-            and k.endswith("!ResourceLimit")), "count"),
-        "qfsolver.equiv_checks": (calls("qfsolver.are_equivalent@cegqi"),
-                                  "count"),
-        "rewrite.normalize_calls": (calls_prefixed("rewrite.normalize@"),
-                                    "count"),
-        "rewrite.normalize_ms": (ms(prefixed("rewrite.normalize@")), "ms"),
-        "rewrite.canonical_key_calls": (
-            calls_prefixed("rewrite.canonical_key@"), "count"),
-        "rewrite.canonical_key_ms": (ms(prefixed("rewrite.canonical_key@")),
-                                     "ms"),
-        "rewrite.memo_hit_ratio": (_ratio(memo["hits"],
-                                          memo["hits"] + memo["misses"]),
-                                   "ratio"),
-        "rewrite.memo_entries": (memo["entries"], "count"),
-        "terms.evaluate_calls": (calls_prefixed("terms.evaluate@"), "count"),
-        "terms.evaluate_ms": (ms(prefixed("terms.evaluate@")), "ms"),
-        "trace.overhead_ratio": (overhead, "ratio"),
+            and k.endswith("!ResourceLimit")),
+        "qfsolver.equiv_checks": calls("qfsolver.are_equivalent@cegqi"),
+        "rewrite.normalize_calls": calls_prefixed("rewrite.normalize@"),
+        "rewrite.normalize_ms": ms(prefixed("rewrite.normalize@")),
+        "rewrite.canonical_key_calls":
+            calls_prefixed("rewrite.canonical_key@"),
+        "rewrite.canonical_key_ms": ms(prefixed("rewrite.canonical_key@")),
+        "rewrite.memo_hit_ratio":
+            _ratio(memo["hits"], memo["hits"] + memo["misses"]),
+        "rewrite.memo_entries": memo["entries"],
+        "terms.evaluate_calls": calls_prefixed("terms.evaluate@"),
+        "terms.evaluate_ms": ms(prefixed("terms.evaluate@")),
+        "trace.overhead_ratio": _ratio(loop_s(traced), loop_s(plain)),
     }
-    m["enumsearch.pattern_checks_per_candidate"] = (_ratio(
-        m["enumsearch.pattern_checks"][0], enumerated), "ratio")
     print(f"# {first['end']['spans']} spans per traced round",
           file=sys.stderr)
-    return m
+    return {n: (m[n], u) for n, u in LAYER_METRICS.items()}
 
 
 def counts_of(rnd) -> tuple:
@@ -328,8 +346,12 @@ def report(workload: str, res: dict) -> dict:
     print(f"workload {workload}: {res['rounds']} rounds, "
           f"{res['attempted']} problems attempted, {res['failed']} failed, "
           f"{'all solutions pass' if res['correct'] else 'WRONG SOLUTIONS'}")
+    if not res["finished"]:
+        print(f"  no round finished within its wall limit of "
+              f"{ROUND_WALL_S:.0f} s: the metrics have no value")
     for name, (value, unit) in res["metrics"].items():
-        print(f"  {name:42s} {value:14.6f} {unit}")
+        shown = "-" if value is None else f"{value:.6f}"
+        print(f"  {name:42s} {shown:>14s} {unit}")
     for w in res["wrong"]:
         print(f"# wrong: {w}", file=sys.stderr)
     return {"correct": res["correct"], "attempted": res["attempted"],
@@ -343,7 +365,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=sorted(WORKLOADS) + ["all"],
                     default="all")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float,
+                    default=BENCHMARK["run_seconds"])
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if not (SRC / "synthlia" / "__init__.py").is_file():
@@ -351,7 +374,7 @@ def main(argv=None) -> int:
         return 2
     selftest()
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    ok = True
+    wrong = unfinished = False
     for name in names:
         try:
             res = measure(name, args.seed, args.seconds, bool(args.trace))
@@ -359,9 +382,10 @@ def main(argv=None) -> int:
             print(f"workload {name}: {e}", file=sys.stderr)
             return 2
         line = report(name, res)
-        ok = ok and res["correct"]
+        wrong = wrong or not res["correct"]
+        unfinished = unfinished or not res["finished"]
         print(json.dumps(line))
-    return 0 if ok else 1
+    return 1 if wrong else 3 if unfinished else 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Steadiness check: spread of every metric over runs with other seeds.
 
 Usage: python3 perfbench/steady.py [--workload NAME ...] [--seeds 1 2 ...]
-                                   [--seconds S] [--trace 0|1]
+                                   [--seconds S]
 
 Runs run.py once per seed on each workload (default: all workloads,
 seeds 1 to 10, the run length of BENCHMARK.json) and prints, for every
@@ -33,7 +33,6 @@ def main() -> int:
     ap.add_argument("--seeds", nargs="*", type=int,
                     default=list(range(1, 11)))
     ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     ok = True
     for name in args.workload:
@@ -42,7 +41,7 @@ def main() -> int:
         for seed in args.seeds:
             cmd = [sys.executable, str(HERE / "run.py"), "--workload", name,
                    "--seed", str(seed), "--seconds", str(args.seconds),
-                   "--trace", str(args.trace)]
+                   "--trace", "0"]
             t0 = time.monotonic()
             done = subprocess.run(cmd, cwd=ROOT, capture_output=True,
                                   text=True)
