@@ -14,9 +14,10 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .classify import FirstOrderForm, _shared_invocation_tuple
+from .classify import FirstOrderForm, shared_invocation_tuple
+from .enumsearch import TimedOut
 from .problem import Grammar, SynthProblem, Solution
-from .rewrite import _lin, _lin_to_term, canonical_key, normalize
+from .rewrite import canonical_key, normalize, unit_bound
 from .qfsolver import ResourceLimit, Sat, Unsat, are_equivalent, check_sat
 from .terms import (
     App,
@@ -70,34 +71,6 @@ def _subst_k(body: Term, kvars: tuple[Var, ...],
     return substitute(body, {k.name: t for k, t in zip(kvars, terms)})
 
 
-def _bounds_on(atom: Term, k: Var):
-    """Decompose a canonical atom into unit-coefficient bounds on ``k``.
-
-    Yields ("lower"|"upper"|"eq", bound term free of k) pairs.
-    """
-    if not (isinstance(atom, App) and atom.op in ("<=", "=")):
-        return
-    diff = _lin(App("+", (atom.args[0], App("*", (IntConst(-1),
-                                                  atom.args[1])))))
-    const, monos = diff
-    md = dict(monos)
-    c = md.pop(k, 0)
-    if abs(c) != 1:
-        return
-    if any(k in free_vars(m) for m in md):
-        return
-    # atom is  c*k + rest <= 0  (or = 0), so  k  cmp  -rest/c.
-    rest = tuple(sorted(((m, -cc * c) for m, cc in md.items()),
-                        key=lambda mc: canonical_key(mc[0])))
-    t = _lin_to_term((-const * c, rest))
-    if atom.op == "=":
-        yield ("eq", t)
-    elif c > 0:
-        yield ("upper", t)
-    else:
-        yield ("lower", t)
-
-
 def select_terms(model: Assignment, kvars: tuple[Var, ...],
                  gamma: tuple[Term, ...], body: Term) -> tuple[Term, ...]:
     """Instantiation tuple for ``kvars``, chosen from the model.
@@ -124,24 +97,27 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
     for j, k in enumerate(kvars):
         candidates: list[tuple[int, tuple, Term]] = []
         for atom in subterms(nbody):
-            for kind, t in _bounds_on(atom, k) or ():
-                if free_vars(t) & kset:
-                    continue
-                try:
-                    sat_here = bool(evaluate(atom, dict(model)))
-                    val = evaluate(t, dict(model))
-                except EvalError:
-                    continue
-                # Bounds from atoms the model falsifies still make sound
-                # candidates (the progress filter below vets them); they
-                # just rank behind the satisfied ones.
-                tier = 0 if sat_here else 3
-                if kind == "eq":
-                    candidates.append((tier + 0, (canonical_key(t),), t))
-                elif kind == "lower":
-                    candidates.append((tier + 1, (-val, canonical_key(t)), t))
-                else:
-                    candidates.append((tier + 2, (val, canonical_key(t)), t))
+            bound = unit_bound(atom, k)
+            if bound is None:
+                continue
+            kind, t = bound
+            if free_vars(t) & kset:
+                continue
+            try:
+                sat_here = bool(evaluate(atom, dict(model)))
+                val = evaluate(t, dict(model))
+            except EvalError:
+                continue
+            # Bounds from atoms the model falsifies still make sound
+            # candidates (the progress filter below vets them); they
+            # just rank behind the satisfied ones.
+            tier = 0 if sat_here else 3
+            if kind == "eq":
+                candidates.append((tier + 0, (canonical_key(t),), t))
+            elif kind == "lower":
+                candidates.append((tier + 1, (-val, canonical_key(t)), t))
+            else:
+                candidates.append((tier + 2, (val, canonical_key(t)), t))
         candidates.sort(key=lambda c: (c[0], c[1]))
         if k.sort == "Int":
             fallback: Term = IntConst(int(model.get(k.name, 0)))
@@ -212,7 +188,7 @@ def extract_solution(trace: InstanceTrace, p: SynthProblem,
     """
     if not trace.instances:
         raise ValueError("cannot extract a solution from an empty trace")
-    args = _shared_invocation_tuple(p)
+    args = shared_invocation_tuple(p)
     if args is None:
         args = tuple(p.universals)
     bodies: dict[str, Term] = {}
@@ -237,17 +213,32 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise ReconstructionFailure("reconstruction time budget exhausted")
 
 
+def _smallest_upto(g: Grammar, nt: str, size: int, pool: dict,
+                   deadline: Optional[float]) -> dict[str, Term]:
+    """Canonical key -> smallest term of ``nt`` up to ``size``, cached
+    in ``pool`` per (nonterminal, size)."""
+    got = pool.get((nt, size))
+    if got is None:
+        try:
+            got = pool[(nt, size)] = g.terms_upto(size, nt, deadline)
+        except TimedOut:
+            raise ReconstructionFailure(
+                "reconstruction time budget exhausted") from None
+    return got
+
+
 def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
                 pool: dict, deadline: Optional[float] = None) -> Term:
     _check_deadline(deadline)
     if g.generates(t, nt):
         return t
+    # Look the normal form up one size level at a time: most solutions
+    # match a small term, and the largest level costs the most.
     want = canonical_key(t)
-    if nt not in pool:
-        pool[nt] = g.terms_upto(budget, nt)
-    for c in pool[nt]:
-        if canonical_key(c) == want:
-            return c
+    for size in range(budget + 1):
+        hit = _smallest_upto(g, nt, size, pool, deadline).get(want)
+        if hit is not None:
+            return hit
     _check_deadline(deadline)
     # Top-level repair: keep the operator, reconstruct children against
     # the nonterminals a matching production assigns them.
@@ -265,7 +256,7 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
             except ReconstructionFailure:
                 continue
             return App(t.op, kids)
-    for c in pool[nt]:
+    for c in _smallest_upto(g, nt, budget, pool, deadline).values():
         _check_deadline(deadline)
         if are_equivalent(c, t):
             return c

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .problem import SynthProblem
 from .terms import (
+    INT,
     App,
     BoolConst,
     IntConst,
@@ -31,8 +32,7 @@ from .terms import (
     substitute,
     uf_apps,
 )
-from .rewrite import _lin  # linear decomposition for equality solving
-from .rewrite import _lin_to_term
+from .rewrite import unit_bound
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def conjuncts(t: Term) -> list[Term]:
     return [t]
 
 
-def _shared_invocation_tuple(p: SynthProblem) -> Optional[tuple[Term, ...]]:
+def shared_invocation_tuple(p: SynthProblem) -> Optional[tuple[Term, ...]]:
     """The single argument tuple all invocations use, or None."""
     tuples = {ufa.args for ufa in uf_apps(p.constraint)}
     if len(tuples) != 1:
@@ -90,7 +90,7 @@ def _shared_invocation_tuple(p: SynthProblem) -> Optional[tuple[Term, ...]]:
 
 
 def _is_single_invocation(p: SynthProblem) -> bool:
-    args = _shared_invocation_tuple(p)
+    args = shared_invocation_tuple(p)
     if args is None:
         return not uf_apps(p.constraint) and not p.universals
     if not all(isinstance(a, Var) for a in args):
@@ -265,29 +265,8 @@ def _lift_ground_invocations(p: SynthProblem) -> Optional[SynthProblem]:
     return SynthProblem(p.functions, fresh, and_(*new_conjuncts))
 
 
-def _solve_equality_for(var: Var, t: Term) -> Optional[Term]:
-    """If ``t`` is an equality linear in ``var`` with unit coefficient,
-    return the solved right-hand side (free of ``var``)."""
-    if not (isinstance(t, App) and t.op == "=" and var.sort == "Int"):
-        return None
-    try:
-        const, monos = _lin(App("+", (t.args[0],
-                                      App("*", (IntConst(-1), t.args[1])))))
-    except Exception:
-        return None
-    md = dict(monos)
-    c = md.pop(var, 0)
-    if abs(c) != 1:
-        return None
-    if any(var in free_vars(m) for m in md):
-        return None
-    # var = -(const + rest)/c
-    rest = tuple((m, -cc * c) for m, cc in md.items())
-    return _lin_to_term((-const * c, rest))
-
-
 def _eliminate_aux(p: SynthProblem) -> Optional[SynthProblem]:
-    args = _shared_invocation_tuple(p)
+    args = shared_invocation_tuple(p)
     if args is None or not all(isinstance(a, Var) for a in args):
         return None
     if len(set(args)) != len(args):
@@ -318,11 +297,11 @@ def _eliminate_aux(p: SynthProblem) -> Optional[SynthProblem]:
             parts = conjuncts(ante)
             sol = None
             for i, a in enumerate(parts):
-                sol = _solve_equality_for(z, a)
-                if sol is not None and z not in free_vars(sol):
+                bound = unit_bound(a, z) if z.sort == INT else None
+                if bound is not None and bound[0] == "eq":
+                    sol = bound[1]
                     parts = parts[:i] + parts[i + 1:]
                     break
-                sol = None
             if sol is None:
                 return None
             sub = {z.name: sol}

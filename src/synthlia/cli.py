@@ -70,7 +70,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         sb_rewriter=not args.no_sb_rewriter,
         sb_examples=not args.no_sb_examples,
         timeout=args.timeout,
-        stats=args.stats,
         verify=args.verify,
         trace=(lambda m: print(f"trace: {m}", file=sys.stderr))
         if args.trace else None,

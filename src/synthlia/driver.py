@@ -33,7 +33,9 @@ from .classify import (
 )
 from .enumsearch import (
     EnumOptions,
+    EnumStats,
     Exhausted,
+    TimedOut,
     default_grammar,
     grammar_to_datatypes,
     solve_enum,
@@ -51,9 +53,7 @@ class SolverConfig:
     sb_rewriter: bool = True
     sb_examples: bool = True
     timeout: Optional[float] = None  # seconds
-    stats: bool = False
     verify: bool = False
-    seed: int = 0
     trace: Optional[Callable[[str], None]] = None
 
 
@@ -150,13 +150,11 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
     try:
         return finish(_run_enum(p, q, cfg, stats, deadline))
     except Exhausted as e:
-        stats.update(enumerated=e.stats.enumerated,
-                     retained=e.stats.retained,
-                     pruned_rewriter=e.stats.pruned_rewriter,
-                     pruned_signature=e.stats.pruned_signature,
-                     blocked_exact=e.stats.blocked_exact,
-                     counterexample_points=e.stats.counterexample_points)
+        _enum_counts(stats, e.stats)
         return finish(GaveUp(f"exhausted(size={e.size_cap})", stats))
+    except TimedOut as e:
+        _enum_counts(stats, e.stats)
+        return finish(GaveUp(f"timeout({cfg.timeout:g}s)", stats))
     except ResourceLimit:
         return finish(GaveUp("resource-limit", stats))
 
@@ -213,12 +211,16 @@ def _run_enum(orig: SynthProblem, q: SynthProblem, cfg: SolverConfig,
                        trace=cfg.trace,
                        deadline=deadline)
     sol, estats = solve_enum(q, family, opts)
+    _enum_counts(stats, estats)
+    if cfg.verify and not verify_solution(orig, sol):
+        return GaveUp("verification-failed", stats)
+    return Success(sol, "enum", stats)
+
+
+def _enum_counts(stats: dict, estats: EnumStats) -> None:
     stats.update(enumerated=estats.enumerated,
                  retained=estats.retained,
                  pruned_rewriter=estats.pruned_rewriter,
                  pruned_signature=estats.pruned_signature,
                  blocked_exact=estats.blocked_exact,
                  counterexample_points=estats.counterexample_points)
-    if cfg.verify and not verify_solution(orig, sol):
-        return GaveUp("verification-failed", stats)
-    return Success(sol, "enum", stats)

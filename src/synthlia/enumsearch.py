@@ -48,16 +48,20 @@ from .terms import (
 )
 
 
-class PatternError(Exception):
-    pass
-
-
 class Exhausted(Exception):
     """The enumeration hit its size cap without finding a solution."""
 
     def __init__(self, size_cap: int, stats: "EnumStats"):
         super().__init__(f"search exhausted at size {size_cap}")
         self.size_cap = size_cap
+        self.stats = stats
+
+
+class TimedOut(Exception):
+    """The deadline passed while candidates were being enumerated."""
+
+    def __init__(self, stats: Optional["EnumStats"] = None):
+        super().__init__("deadline passed")
         self.stats = stats
 
 
@@ -89,7 +93,6 @@ class Datatype:
 class DatatypeFamily:
     datatypes: tuple[Datatype, ...]
     start: str
-    origin: tuple[tuple[str, str], ...]  # (nonterminal, datatype) pairs
     params: tuple[Var, ...]
 
     def datatype(self, name: str) -> Datatype:
@@ -103,25 +106,6 @@ class DatatypeFamily:
             if c.name == cname:
                 return c
         raise KeyError((dtname, cname))
-
-    def path_type(self, anchor: str, path: "SelectorPath") -> str:
-        """Datatype a selector path can land on, starting from ``anchor``.
-
-        Raises PatternError when no constructor of the current datatype
-        offers the requested typed child.
-        """
-        cur = anchor
-        for tau, n in path:
-            ok = False
-            for c in self.datatype(cur).constructors:
-                if sum(1 for ch in c.children if ch == tau) >= n:
-                    ok = True
-                    break
-            if not ok:
-                raise PatternError(
-                    f"no constructor of {cur} has {n} children of {tau}")
-            cur = tau
-        return cur
 
 
 @dataclass(frozen=True)
@@ -259,7 +243,6 @@ def grammar_to_datatypes(g: Grammar) -> DatatypeFamily:
     fam = DatatypeFamily(
         datatypes=datatypes,
         start=g.start,
-        origin=tuple((nt, nt) for nt in g.nonterminals),
         params=g.params)
     for d in fam.datatypes:
         if not d.constructors:
@@ -412,18 +395,6 @@ def make_blocking_pattern(v: DtValue) -> BlockingPattern:
                               for path, node in _node_paths(v)))
 
 
-def shift_pattern(p: BlockingPattern, prefix: SelectorPath, anchor: str,
-                  family: Optional[DatatypeFamily] = None) -> BlockingPattern:
-    """The same pattern reanchored at ``anchor``, applying at the nested
-    position ``prefix`` reaches."""
-    if family is not None and family.path_type(anchor, prefix) != p.anchor:
-        raise PatternError("prefix does not land on the pattern's anchor type")
-    return BlockingPattern(
-        anchor=anchor,
-        constraints=frozenset((prefix + path, c)
-                              for path, c in p.constraints))
-
-
 @dataclass(frozen=True)
 class RewriterDup:
     key: str
@@ -553,6 +524,103 @@ def eager_patterns(family: DatatypeFamily) -> list[BlockingPattern]:
 
 
 # ---------------------------------------------------------------------------
+# Size-indexed pools
+
+
+def _compositions(total: int, n: int):
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, n - 1):
+            yield (first,) + rest
+
+
+class Pools:
+    """The grammar enumerator: the values of each datatype by size
+    (non-nullary constructor count), each level composed from smaller
+    levels of the children's datatypes, in constructor, size-split and
+    child order. ``admit`` sees every composed value once and decides
+    whether it joins its level; an exception it raises stops the
+    enumeration."""
+
+    def __init__(self, family: DatatypeFamily,
+                 admit: Callable[[DtValue], bool]):
+        self.family = family
+        self.admit = admit
+        self._levels: dict[tuple[str, int], list[DtValue]] = {}
+
+    def level(self, dtname: str, size: int) -> list[DtValue]:
+        got = self._levels.get((dtname, size))
+        if got is not None:
+            return got
+        out: list[DtValue] = []
+        for c in self.family.datatype(dtname).constructors:
+            if c.arity() == 0:
+                if size == 0:
+                    v = DtValue(dtname, c.name)
+                    if self.admit(v):
+                        out.append(v)
+                continue
+            if size == 0:
+                continue
+            for split in _compositions(size - 1, c.arity()):
+                parts = [self.level(d, s)
+                         for d, s in zip(c.children, split)]
+                if any(not p for p in parts):
+                    continue
+                for combo in itertools.product(*parts):
+                    v = DtValue(dtname, c.name, combo)
+                    if self.admit(v):
+                        out.append(v)
+        self._levels[(dtname, size)] = out
+        return out
+
+    def upto(self, dtname: str, max_size: int) -> Iterator[DtValue]:
+        for size in range(max_size + 1):
+            yield from self.level(dtname, size)
+
+
+def _check_deadline(deadline: Optional[float],
+                    stats: Optional[EnumStats] = None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimedOut(stats)
+
+
+def smallest_terms(g: Grammar, max_size: int, nt: str,
+                   deadline: Optional[float] = None) -> dict[str, Term]:
+    """Canonical key -> the smallest term ``nt`` derives with that key,
+    over the terms with at most ``max_size`` non-nullary applications.
+
+    A value is admitted only when its key is new for its datatype, so
+    each level is composed from one representative per normal form.
+    Every level below ``max_size`` is built before any larger one, so
+    the representative a key keeps is one of its smallest terms.
+    Raises TimedOut once ``deadline`` (a time.monotonic() value) passes.
+    """
+    family = grammar_to_datatypes(g)
+    terms: dict[str, dict[str, Term]] = \
+        {d.name: {} for d in family.datatypes}
+
+    def admit(v: DtValue) -> bool:
+        _check_deadline(deadline)
+        t = to_analog(v, family)
+        key = canonical_key(t)
+        seen = terms[v.dtype]
+        if key in seen:
+            return False
+        seen[key] = t
+        return True
+
+    pools = Pools(family, admit)
+    for size in range(max_size):
+        for d in family.datatypes:
+            pools.level(d.name, size)
+    pools.level(nt, max_size)
+    return terms[nt]
+
+
+# ---------------------------------------------------------------------------
 # Enumeration session
 
 
@@ -572,9 +640,8 @@ class EnumStats:
 
 
 class EnumSession:
-    """State of one enumerative search: pools of retained
-    representatives per (datatype, size), the candidate database, and
-    the blocking-pattern store."""
+    """State of one enumerative search: the candidate database and the
+    blocking-pattern store, which decide what the search's pools admit."""
 
     def __init__(self, family: DatatypeFamily, *,
                  sb_rewriter: bool = True,
@@ -592,7 +659,6 @@ class EnumSession:
             {d.name: {} for d in family.datatypes}
         self.sigs: dict[str, dict[tuple, str]] = \
             {d.name: {} for d in family.datatypes}
-        self._pools: dict[tuple[str, int], list[DtValue]] = {}
 
     # -- candidate admission ------------------------------------------------
 
@@ -636,81 +702,17 @@ class EnumSession:
         return "{}({})".format(v.ctor,
                                ", ".join(self._show(c) for c in v.children))
 
-    # -- pools ---------------------------------------------------------------
+    def candidates(self, max_size: int,
+                   deadline: Optional[float] = None) -> Iterator[DtValue]:
+        """Retained start-datatype values in size order. Raises TimedOut
+        once ``deadline`` (a time.monotonic() value) passes while a
+        level is being built."""
 
-    def pool(self, dtname: str, size: int) -> list[DtValue]:
-        got = self._pools.get((dtname, size))
-        if got is not None:
-            return got
-        out: list[DtValue] = []
-        for c in self.family.datatype(dtname).constructors:
-            if c.arity() == 0:
-                if size == 0:
-                    v = DtValue(dtname, c.name)
-                    if self.process(v) == "retained":
-                        out.append(v)
-                continue
-            if size == 0:
-                continue
-            for split in _compositions(size - 1, c.arity()):
-                parts = [self.pool(d, s)
-                         for d, s in zip(c.children, split)]
-                if any(not p for p in parts):
-                    continue
-                for combo in itertools.product(*parts):
-                    v = DtValue(dtname, c.name, tuple(combo))
-                    if self.process(v) == "retained":
-                        out.append(v)
-        self._pools[(dtname, size)] = out
-        return out
+        def admit(v: DtValue) -> bool:
+            _check_deadline(deadline, self.stats)
+            return self.process(v) == "retained"
 
-    def candidates(self, max_size: int) -> Iterator[DtValue]:
-        for size in range(max_size + 1):
-            yield from self.pool(self.family.start, size)
-
-
-def _compositions(total: int, n: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
-
-
-def enumerate_values(family: DatatypeFamily, max_size: int,
-                     patterns: Optional[list] = None) -> Iterator[DtValue]:
-    """Raw size-ordered stream of start-datatype values, skipping values
-    a pattern blocks at any node, with no database pruning."""
-    pats = list(patterns or [])
-    pools: dict[tuple[str, int], list[DtValue]] = {}
-
-    def pool(dt: str, size: int) -> list[DtValue]:
-        got = pools.get((dt, size))
-        if got is not None:
-            return got
-        out = []
-        for c in family.datatype(dt).constructors:
-            if c.arity() == 0:
-                if size == 0:
-                    out.append(DtValue(dt, c.name))
-                continue
-            if size == 0:
-                continue
-            for split in _compositions(size - 1, c.arity()):
-                parts = [pool(d, s) for d, s in zip(c.children, split)]
-                if any(not p for p in parts):
-                    continue
-                out.extend(DtValue(dt, c.name, tuple(combo))
-                           for combo in itertools.product(*parts))
-        out = [v for v in out
-               if not any(pattern_matches(p, v) for p in pats
-                          if p.anchor == dt)]
-        pools[(dt, size)] = out
-        return out
-
-    for size in range(max_size + 1):
-        yield from pool(family.start, size)
+        return Pools(self.family, admit).upto(self.family.start, max_size)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +733,8 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily,
                ) -> tuple[Solution, EnumStats]:
     """Enumerate candidates until one satisfies the conjecture.
 
-    Raises Exhausted when the size cap is reached.
+    Raises Exhausted when the size cap is reached and TimedOut when
+    ``opts.deadline`` passes.
     """
     opts = opts or EnumOptions()
     if len(p.functions) != 1:
@@ -746,9 +749,8 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily,
                           points=points, trace=opts.trace)
     cex: list[dict] = []
     params = f.param_vars()
-    for v in session.candidates(opts.max_size):
-        if opts.deadline is not None and time.monotonic() > opts.deadline:
-            raise Exhausted(dt_size(v), session.stats)
+    for v in session.candidates(opts.max_size, opts.deadline):
+        _check_deadline(opts.deadline, session.stats)
         body = to_analog(v, family)
         sol = {f.name: Lambda(params, body)}
         spec = apply_solution(p, sol)

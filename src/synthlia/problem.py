@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .terms import (
@@ -65,13 +65,14 @@ class Grammar:
                 raise GrammarError(f"ill-sorted rule for {lhs}")
             if sort_of(rhs) != self.nonterminals[lhs]:
                 raise GrammarError(f"rule for {lhs} has wrong sort")
-        self._check_productive()
+        self._check_generating()
         self._check_reachable()
 
     def _nts_in(self, rhs: Term) -> set[str]:
         return {v.name for v in free_vars(rhs) if v.name in self.nonterminals}
 
-    def _check_productive(self) -> None:
+    def _check_generating(self) -> None:
+        """Every nonterminal derives at least one term (is productive)."""
         productive: set[str] = set()
         changed = True
         while changed:
@@ -128,72 +129,19 @@ class Grammar:
         return all(self._match(a, s, active)
                    for a, s in zip(t.args, skel.args))
 
-    # -- size-ordered expansion -------------------------------------------
+    # -- size-ordered pool -------------------------------------------------
 
-    def terms_of_size(self, nt: str, size: int,
-                      _memo: Optional[dict] = None) -> list[Term]:
-        """All S-free terms derivable from ``nt`` with exactly ``size``
-        non-nullary applications (brute-force expansion)."""
-        memo = _memo if _memo is not None else {}
-        key = (nt, size)
-        if key in memo:
-            return memo[key]
-        memo[key] = []  # cut unit-rule cycles
-        out: list[Term] = []
-        for rhs in self.rules_of(nt):
-            out.extend(self._fill(rhs, size, memo))
-        memo[key] = out
-        return out
-
-    def _fill(self, skel: Term, size: int, memo: dict) -> list[Term]:
-        if isinstance(skel, Var) and skel.name in self.nonterminals:
-            return self.terms_of_size(skel.name, size, memo)
-        if isinstance(skel, (IntConst, BoolConst, Var)):
-            return [skel] if size == 0 else []
-        assert isinstance(skel, App)
-        cost = 1 if skel.args else 0
-        budget = size - cost
-        if budget < 0:
-            return []
-        out = []
-        for split in _compositions(budget, len(skel.args)):
-            parts = [self._fill(a, s, memo)
-                     for a, s in zip(skel.args, split)]
-            if any(not p for p in parts):
-                continue
-            out.extend(App(skel.op, combo)
-                       for combo in _product(parts))
-        return out
-
-    def terms_upto(self, max_size: int, nt: Optional[str] = None) -> list[Term]:
-        memo: dict = {}
-        nt = nt or self.start
-        out = []
-        for s in range(max_size + 1):
-            out.extend(self.terms_of_size(nt, s, memo))
-        return out
-
-
-def _compositions(total: int, n: int):
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
-
-
-def _product(parts: list[list[Term]]):
-    if not parts:
-        yield ()
-        return
-    for head in parts[0]:
-        for rest in _product(parts[1:]):
-            yield (head,) + rest
+    def terms_upto(self, max_size: int, nt: Optional[str] = None,
+                   deadline: Optional[float] = None) -> dict[str, Term]:
+        """Canonical key -> the smallest term ``nt`` (default s0) derives
+        with that key, over the terms with at most ``max_size`` non-nullary
+        applications; see ``enumsearch.smallest_terms``."""
+        # A thin call into the search's pool builder. It stays a method
+        # of Grammar because perfbench/tracing.py times reconstruction's
+        # pool under this name; enumsearch imports this module, hence
+        # the local import.
+        from .enumsearch import smallest_terms
+        return smallest_terms(self, max_size, nt or self.start, deadline)
 
 
 @dataclass(frozen=True)

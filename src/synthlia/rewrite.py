@@ -15,6 +15,7 @@ converse.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 from .terms import (
     BOOL,
@@ -29,6 +30,7 @@ from .terms import (
     UFApp,
     Var,
     add,
+    free_vars,
     mul,
     sort_of,
     well_sorted,
@@ -93,7 +95,8 @@ def _lin(t: Term) -> Linear:
         return (0, ((t, 1),))
     if isinstance(t, UFApp):
         return (0, ((normalize(t), 1),))
-    assert isinstance(t, App)
+    if not isinstance(t, App):
+        raise SortError("a boolean constant in an Int position")
     if t.op == "+":
         out = _ZERO
         for a in t.args:
@@ -113,6 +116,28 @@ def _lin(t: Term) -> Linear:
 
 def _diff(a: Term, b: Term) -> Linear:
     return _lin_add(_lin(a), _lin(b), -1)
+
+
+def unit_bound(atom: Term, k: Var) -> Optional[tuple[str, Term]]:
+    """The bound a comparison ``<=`` or ``=`` places on ``k`` when it is
+    linear in ``k`` with a unit coefficient: ("upper" | "lower" | "eq",
+    t) with t free of ``k``, or None."""
+    if not (isinstance(atom, App) and atom.op in ("<=", "=")):
+        return None
+    try:
+        const, monos = _diff(atom.args[0], atom.args[1])
+    except SortError:
+        return None
+    rest = dict(monos)
+    c = rest.pop(k, 0)
+    if abs(c) != 1 or any(k in free_vars(m) for m in rest):
+        return None
+    # atom is  c*k + rest <= 0  (or = 0), so  k  cmp  -rest/c.
+    t = _lin_to_term(
+        (-const * c, tuple((m, -cc * c) for m, cc in rest.items())))
+    if atom.op == "=":
+        return ("eq", t)
+    return ("upper", t) if c > 0 else ("lower", t)
 
 
 def _le_atom(diff: Linear) -> Term:

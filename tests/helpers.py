@@ -11,7 +11,7 @@ import itertools
 import random
 from pathlib import Path
 
-from synthlia.enumsearch import DatatypeFamily, DtValue
+from synthlia.enumsearch import DatatypeFamily, DtValue, Pools
 from synthlia.problem import Grammar
 from synthlia.rewrite import canonical_key
 from synthlia.sygus import parse_problem
@@ -129,7 +129,48 @@ def key_set(terms) -> set:
     return {canonical_key(t) for t in terms}
 
 
-def oracle_terms(g: Grammar, max_size: int):
-    """Brute-force expansion of a grammar, independent of the datatype
-    encoding."""
-    return g.terms_upto(max_size)
+def term_size(t: Term) -> int:
+    """Number of non-nullary applications, the size grammars count."""
+    if isinstance(t, App) and t.args:
+        return 1 + sum(term_size(a) for a in t.args)
+    return 0
+
+
+def oracle_terms(g: Grammar, max_size: int, nt: str | None = None):
+    """Every term ``nt`` (default the start symbol) derives with at most
+    ``max_size`` non-nullary applications, in size order: brute-force
+    expansion of the rules, independent of the datatype encoding and
+    of the rewriter."""
+    memo: dict = {}
+
+    def of_size(n: str, size: int) -> list:
+        key = (n, size)
+        if key not in memo:
+            memo[key] = []  # cut unit-rule cycles
+            memo[key] = [t for rhs in g.rules_of(n) for t in fill(rhs, size)]
+        return memo[key]
+
+    def fill(skel: Term, size: int) -> list:
+        if isinstance(skel, Var) and skel.name in g.nonterminals:
+            return of_size(skel.name, size)
+        if not isinstance(skel, App):
+            return [skel] if size == 0 else []
+        budget = size - (1 if skel.args else 0)
+        out = []
+        for split in itertools.product(range(budget + 1),
+                                       repeat=len(skel.args)):
+            if sum(split) != budget:
+                continue
+            parts = [fill(a, k) for a, k in zip(skel.args, split)]
+            out.extend(App(skel.op, combo)
+                       for combo in itertools.product(*parts))
+        return out
+
+    nt = nt or g.start
+    return [t for size in range(max_size + 1) for t in of_size(nt, size)]
+
+
+def raw_values(family: DatatypeFamily, max_size: int):
+    """Every start-datatype value up to ``max_size`` in size order, with
+    no pruning: the search's pool builder admitting everything."""
+    return Pools(family, lambda v: True).upto(family.start, max_size)

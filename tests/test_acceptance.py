@@ -14,7 +14,6 @@ from synthlia.enumsearch import (
     DtValue,
     EnumSession,
     default_grammar,
-    enumerate_values,
     grammar_to_datatypes,
     signature_of,
     to_analog,
@@ -36,7 +35,7 @@ from synthlia.terms import (
     le,
 )
 
-from helpers import key_set, load_golden
+from helpers import key_set, load_golden, oracle_terms, raw_values
 
 from test_enum import eval_coherence_sample
 from test_qf_solver import cross_check_sample
@@ -142,7 +141,7 @@ def test_criterion_6_symmetry_breaking_effect(capsys):
     session = EnumSession(family)
     list(session.candidates(4))
     retained_keys = set(session.keys[family.start])
-    oracle = g.terms_upto(4)
+    oracle = oracle_terms(g, 4)
     elapsed = time.monotonic() - t0
     ok = (session.stats.consistent()
           and session.stats.retained < len(oracle)
@@ -186,9 +185,9 @@ def test_criterion_8_property_suites(capsys):
     # symmetric-max grammar.
     g = load_golden("max_sym.sy").functions[0].grammar
     family = grammar_to_datatypes(g)
-    oracle_keys = key_set(g.terms_upto(4))
+    oracle_keys = key_set(oracle_terms(g, 4))
     raw_keys = {canonical_key(to_analog(v, family))
-                for v in enumerate_values(family, 4)}
+                for v in raw_values(family, 4)}
     ok &= raw_keys == oracle_keys
     session = EnumSession(family)
     list(session.candidates(4))

@@ -10,19 +10,17 @@ from synthlia.enumsearch import (
     EnumOptions,
     EnumSession,
     Exhausted,
-    PatternError,
     RewriterDup,
     SignatureDup,
+    TimedOut,
     default_grammar,
     dt_size,
     eager_patterns,
-    enumerate_values,
     eval_dt,
     generalize_pattern,
     grammar_to_datatypes,
     make_blocking_pattern,
     pattern_matches,
-    shift_pattern,
     signature_of,
     solve_enum,
     to_analog,
@@ -41,7 +39,14 @@ from synthlia.terms import (
     le,
 )
 
-from helpers import key_set, load_golden, random_dt_value
+from helpers import (
+    key_set,
+    load_golden,
+    oracle_terms,
+    random_dt_value,
+    raw_values,
+    term_size,
+)
 
 x, y = ivar("x"), ivar("y")
 
@@ -101,14 +106,6 @@ def test_default_grammar_avoids_param_clash():
     g = default_grammar(FunSort((INT,), INT), ("I",))
     g.validate()
     assert "I" not in g.nonterminals
-
-
-def test_path_type_checks_selector_chains():
-    fam = nsi_family()
-    aux = fam.constructor("I", "plus").children[1]
-    assert fam.path_type("I", (("I", 1), (aux, 1))) == aux
-    with pytest.raises(PatternError):
-        fam.path_type("I", (("B", 2),))  # if has a single B child
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +210,7 @@ def test_annotation_guard_blocks_cross_type_generalization():
                 Constructor("plus", ("I", "I"), op="+"))),
             Datatype("I2", INT, (Constructor("0", (), leaf=IntConst(0)),)),
         ),
-        start="I", origin=(("I", "I"),), params=(x, y))
+        start="I", params=(x, y))
     v = DtValue("I", "plus", (DtValue("I1", "x"), DtValue("I2", "0")))
     p = generalize_pattern(v, fam, RewriterDup(canonical_key(x)))
     # plus(y, 0) would be a genuine candidate; it must stay unblocked.
@@ -221,19 +218,6 @@ def test_annotation_guard_blocks_cross_type_generalization():
         ((), "plus"), ((("I1", 1),), "x"), ((("I2", 1),), "0")])
     assert not pattern_matches(p, DtValue("I", "plus", (
         DtValue("I1", "y"), DtValue("I2", "0"))))
-
-
-def test_shift_pattern_blocks_only_the_shifted_position():
-    fam = io_family()
-    base = generalize_pattern(plus_x_zero(), fam,
-                              RewriterDup(canonical_key(x)))
-    shifted = shift_pattern(base, (("I", 1),), "I", fam)
-    nested_left = DtValue("I", "plus", (plus_x_zero(), DtValue("I", "y")))
-    nested_right = DtValue("I", "plus", (DtValue("I", "y"), plus_x_zero()))
-    assert pattern_matches(shifted, nested_left)
-    assert not pattern_matches(shifted, nested_right)
-    with pytest.raises(PatternError):
-        shift_pattern(base, (("B", 1),), "B", fam)
 
 
 def test_signature_generalization_drops_only_the_else_branch():
@@ -271,26 +255,57 @@ def test_session_retains_full_key_set():
     assert len(got) == len(set(got))
     retained_keys = set(session.keys["I"])
     g = load_golden("max_sym.sy").functions[0].grammar
-    oracle_keys = key_set(g.terms_upto(3))
+    oracle_keys = key_set(oracle_terms(g, 3))
     assert retained_keys == oracle_keys
-    assert session.stats.retained < len(g.terms_upto(3))
+    assert session.stats.retained < len(oracle_terms(g, 3))
 
 
 def test_raw_enumeration_matches_grammar_oracle():
     fam = nsi_family()
     g = load_golden("max_sym.sy").functions[0].grammar
-    raw = [to_analog(v, fam) for v in enumerate_values(fam, 3)]
+    raw = [to_analog(v, fam) for v in raw_values(fam, 3)]
     assert len(raw) == len(set(raw))
-    assert key_set(raw) == key_set(g.terms_upto(3))
+    assert key_set(raw) == key_set(oracle_terms(g, 3))
 
 
 def test_default_grammar_encoding_is_exact():
     g = default_grammar(FunSort((INT,), INT), ("x",))
     fam = grammar_to_datatypes(g)
     raw = sorted(canonical_key(to_analog(v, fam))
-                 for v in enumerate_values(fam, 3))
-    oracle = sorted(canonical_key(t) for t in g.terms_upto(3))
+                 for v in raw_values(fam, 3))
+    oracle = sorted(canonical_key(t) for t in oracle_terms(g, 3))
     assert raw == oracle
+
+
+POOL_GRAMMARS = {
+    "max_sym": lambda: load_golden("max_sym.sy").functions[0].grammar,
+    "between_grammar":
+        lambda: load_golden("between_grammar.sy").functions[0].grammar,
+    "default": lambda: default_grammar(FunSort((INT,), INT), ("x",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_GRAMMARS))
+def test_terms_upto_keeps_one_smallest_term_per_key(name):
+    g = POOL_GRAMMARS[name]()
+    for nt in g.nonterminals:
+        got = g.terms_upto(3, nt)
+        oracle = oracle_terms(g, 3, nt)
+        assert set(got) == key_set(oracle)
+        smallest: dict[str, int] = {}
+        for t in oracle:  # in size order
+            smallest.setdefault(canonical_key(t), term_size(t))
+        for key, t in got.items():
+            assert canonical_key(t) == key
+            assert g.generates(t, nt)
+            assert term_size(t) == smallest[key], (nt, key)
+
+
+def test_candidates_stop_at_the_deadline():
+    session = EnumSession(nsi_family())
+    with pytest.raises(TimedOut) as exc:
+        next(session.candidates(3, deadline=0.0))
+    assert exc.value.stats is session.stats
 
 
 def test_pruned_values_are_justified():
@@ -304,7 +319,7 @@ def test_pruned_values_are_justified():
     # its simplified analog or its signature already has a retained
     # representative of the same datatype.
     audited = 0
-    for v in enumerate_values(fam, 3):
+    for v in raw_values(fam, 3):
         if not session.blocked(v):
             continue
         key = canonical_key(to_analog(v, fam))

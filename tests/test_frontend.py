@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from synthlia.cli import main as cli_main
@@ -181,6 +183,25 @@ def test_gave_up_reports_reason_and_stats():
     assert out.reason.startswith("exhausted")
     assert out.stats["enumerated"] > 0
     assert "wall_time" in out.stats
+
+
+def test_timeout_is_honoured_inside_a_pool_level():
+    # Without a grammar this is enumerated over the default grammar,
+    # whose size-6 level alone takes far longer than the timeout.
+    p = parse_problem("""
+        (set-logic LIA)
+        (synth-fun f ((x Int) (y Int)) Int)
+        (declare-var x Int)
+        (declare-var y Int)
+        (constraint (>= (f x y) (+ x 2)))
+        (constraint (= (f x y) (f y x)))
+        (check-synth)""")
+    t0 = time.monotonic()
+    out = solve(p, SolverConfig(timeout=2))
+    assert time.monotonic() - t0 < 4.0
+    assert isinstance(out, GaveUp)
+    assert out.reason.startswith("timeout")
+    assert out.stats["enumerated"] > 0
 
 
 def test_verify_solution_rejects_wrong_and_ungenerable():
