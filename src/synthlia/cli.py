@@ -50,6 +50,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.max_size <= 0 or args.max_iters <= 0 or args.recon_budget <= 0:
         print("error: caps must be positive", file=sys.stderr)
         return 2
+    if args.timeout is not None and args.timeout <= 0:
+        print("error: timeout must be positive", file=sys.stderr)
+        return 2
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()

@@ -93,7 +93,7 @@ def _trace(cfg: SolverConfig, msg: str) -> None:
 def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()
-    deadline = t0 + cfg.timeout if cfg.timeout else None
+    deadline = t0 + cfg.timeout if cfg.timeout is not None else None
     stats: dict = {
         "enumerated": 0, "pruned_rewriter": 0, "pruned_signature": 0,
         "blocked_exact": 0, "retained": 0,
@@ -137,7 +137,8 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
     if route in ("cegqi", "portfolio"):
         # Reconstruction gets a fixed 20% slice of the time budget;
         # past that the portfolio falls through to enumeration.
-        recon_deadline = t0 + 0.2 * cfg.timeout if cfg.timeout else None
+        recon_deadline = (t0 + 0.2 * cfg.timeout
+                          if cfg.timeout is not None else None)
         out = _run_cegqi(p, q, cls, cfg, stats,
                          reconstruct_after=has_grammar,
                          recon_deadline=recon_deadline)

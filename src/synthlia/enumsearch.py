@@ -4,12 +4,16 @@ Grammars are compiled into families of algebraic datatypes (flattening
 non-atomic productions through auxiliary single-constructor datatypes
 and dropping rules made redundant by the rewriter). Candidate solutions
 are datatype values enumerated in order of non-nullary constructor
-count; duplicate candidates — same simplified analog, or same
-evaluation on the conjecture's example points — are pruned and turned
-into blocking patterns, the explicit-store counterpart of
+count, each together with its analog term, which is built once from
+its children's analogs. Duplicate candidates — same simplified analog,
+or same evaluation on the conjecture's example points — are pruned and
+turned into blocking patterns, the explicit-store counterpart of
 symmetry-breaking clauses. Patterns are generalized by replacing
 subtrees with fresh annotated variables whenever the justification for
-the pruning does not depend on them.
+the pruning does not depend on them. The store indexes them in a trie
+per datatype over their sorted (selector path, constructor)
+constraints, so a candidate is checked against the patterns its own
+constructors lead to rather than against every stored pattern.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .classify import IOExamples, classify
 from .problem import (
@@ -95,17 +99,20 @@ class DatatypeFamily:
     start: str
     params: tuple[Var, ...]
 
+    def __post_init__(self):
+        # Lookup maps, built once; not dataclass fields, so equality and
+        # hashing still see only the declared fields.
+        object.__setattr__(self, "_datatypes",
+                           {d.name: d for d in self.datatypes})
+        object.__setattr__(self, "_constructors",
+                           {(d.name, c.name): c for d in self.datatypes
+                            for c in d.constructors})
+
     def datatype(self, name: str) -> Datatype:
-        for d in self.datatypes:
-            if d.name == name:
-                return d
-        raise KeyError(name)
+        return self._datatypes[name]
 
     def constructor(self, dtname: str, cname: str) -> Constructor:
-        for c in self.datatype(dtname).constructors:
-            if c.name == cname:
-                return c
-        raise KeyError((dtname, cname))
+        return self._constructors[(dtname, cname)]
 
 
 @dataclass(frozen=True)
@@ -276,14 +283,7 @@ def default_grammar(fsort: FunSort, param_names: tuple[str, ...]) -> Grammar:
 
 
 # ---------------------------------------------------------------------------
-# Analogs and evaluation
-
-
-def to_analog(v: DtValue, family: DatatypeFamily) -> Term:
-    c = family.constructor(v.dtype, v.ctor)
-    if c.op is None:
-        return c.leaf
-    return App(c.op, tuple(to_analog(ch, family) for ch in v.children))
+# Evaluation
 
 
 def eval_dt(v: DtValue, family: DatatypeFamily,
@@ -375,6 +375,59 @@ def pattern_matches(p: BlockingPattern, v: DtValue) -> bool:
         if node is None or node.ctor != cname:
             return False
     return True
+
+
+class _TrieNode:
+    __slots__ = ("pattern", "edges")
+
+    def __init__(self):
+        self.pattern: Optional[BlockingPattern] = None
+        # selector path -> constructor -> next node
+        self.edges: dict[SelectorPath, dict[str, _TrieNode]] = {}
+
+
+class PatternIndex:
+    """The blocking-pattern store: one trie per anchor datatype, each
+    pattern stored along its constraints sorted by (path length, path,
+    constructor), so the root constraint comes first. A candidate walks
+    only the edges its own nodes satisfy, so the cost of ``blocks``
+    follows the candidate's shape, not the number of stored patterns."""
+
+    def __init__(self, patterns: Iterable[BlockingPattern] = ()):
+        self._roots: dict[str, _TrieNode] = {}
+        for p in patterns:
+            self.add(p)
+
+    def add(self, p: BlockingPattern) -> None:
+        node = self._roots.setdefault(p.anchor, _TrieNode())
+        for path, cname in sorted(p.constraints,
+                                  key=lambda pc: (len(pc[0]),) + pc):
+            node = node.edges.setdefault(path, {}).setdefault(
+                cname, _TrieNode())
+        if node.pattern is None:
+            node.pattern = p
+
+    def blocks(self, v: DtValue) -> bool:
+        root = self._roots.get(v.dtype)
+        if root is None:
+            return False
+        resolved: dict[SelectorPath, Optional[DtValue]] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.pattern is not None:
+                # Every constraint held on the way here.
+                return pattern_matches(node.pattern, v)
+            for path, by_ctor in node.edges.items():
+                if path in resolved:
+                    u = resolved[path]
+                else:
+                    u = resolved[path] = _resolve(v, path)
+                if u is not None:
+                    nxt = by_ctor.get(u.ctor)
+                    if nxt is not None:
+                        stack.append(nxt)
+        return False
 
 
 def _node_paths(v: DtValue) -> list[tuple[SelectorPath, DtValue]]:
@@ -540,27 +593,28 @@ class Pools:
     """The grammar enumerator: the values of each datatype by size
     (non-nullary constructor count), each level composed from smaller
     levels of the children's datatypes, in constructor, size-split and
-    child order. ``admit`` sees every composed value once and decides
-    whether it joins its level; an exception it raises stops the
-    enumeration."""
+    child order. A level holds (value, analog) pairs; a composed analog
+    is built once from its children's, so subterms are shared.
+    ``admit`` sees every composed pair once and decides whether it
+    joins its level; an exception it raises stops the enumeration."""
 
     def __init__(self, family: DatatypeFamily,
-                 admit: Callable[[DtValue], bool]):
+                 admit: Callable[[DtValue, Term], bool]):
         self.family = family
         self.admit = admit
-        self._levels: dict[tuple[str, int], list[DtValue]] = {}
+        self._levels: dict[tuple[str, int], list[tuple[DtValue, Term]]] = {}
 
-    def level(self, dtname: str, size: int) -> list[DtValue]:
+    def level(self, dtname: str, size: int) -> list[tuple[DtValue, Term]]:
         got = self._levels.get((dtname, size))
         if got is not None:
             return got
-        out: list[DtValue] = []
+        out: list[tuple[DtValue, Term]] = []
         for c in self.family.datatype(dtname).constructors:
             if c.arity() == 0:
                 if size == 0:
                     v = DtValue(dtname, c.name)
-                    if self.admit(v):
-                        out.append(v)
+                    if self.admit(v, c.leaf):
+                        out.append((v, c.leaf))
                 continue
             if size == 0:
                 continue
@@ -570,13 +624,15 @@ class Pools:
                 if any(not p for p in parts):
                     continue
                 for combo in itertools.product(*parts):
-                    v = DtValue(dtname, c.name, combo)
-                    if self.admit(v):
-                        out.append(v)
+                    v = DtValue(dtname, c.name, tuple(u for u, _ in combo))
+                    t = App(c.op, tuple(a for _, a in combo))
+                    if self.admit(v, t):
+                        out.append((v, t))
         self._levels[(dtname, size)] = out
         return out
 
-    def upto(self, dtname: str, max_size: int) -> Iterator[DtValue]:
+    def upto(self, dtname: str,
+             max_size: int) -> Iterator[tuple[DtValue, Term]]:
         for size in range(max_size + 1):
             yield from self.level(dtname, size)
 
@@ -602,9 +658,8 @@ def smallest_terms(g: Grammar, max_size: int, nt: str,
     terms: dict[str, dict[str, Term]] = \
         {d.name: {} for d in family.datatypes}
 
-    def admit(v: DtValue) -> bool:
+    def admit(v: DtValue, t: Term) -> bool:
         _check_deadline(deadline)
-        t = to_analog(v, family)
         key = canonical_key(t)
         seen = terms[v.dtype]
         if key in seen:
@@ -651,10 +706,9 @@ class EnumSession:
         self.family = family
         self.sb_rewriter = sb_rewriter
         self.points = points
-        self.trace = trace or (lambda msg: None)
+        self.trace = trace
         self.stats = EnumStats()
-        self.patterns: list[BlockingPattern] = \
-            eager_patterns(family) if eager else []
+        self.patterns = PatternIndex(eager_patterns(family) if eager else ())
         self.keys: dict[str, dict[str, DtValue]] = \
             {d.name: {} for d in family.datatypes}
         self.sigs: dict[str, dict[tuple, str]] = \
@@ -662,31 +716,31 @@ class EnumSession:
 
     # -- candidate admission ------------------------------------------------
 
-    def blocked(self, v: DtValue) -> bool:
-        return any(pattern_matches(p, v) for p in self.patterns
-                   if p.anchor == v.dtype)
-
-    def process(self, v: DtValue) -> str:
-        """Admit or prune one composed value; returns the decision."""
+    def process(self, v: DtValue, analog: Term) -> str:
+        """Admit or prune one composed value, given with its analog term;
+        returns the decision."""
         self.stats.enumerated += 1
-        if self.blocked(v):
+        if self.patterns.blocks(v):
             self.stats.blocked_exact += 1
-            self.trace(f"blocked {self._show(v)}")
+            if self.trace:
+                self.trace(f"blocked {self._show(v)}")
             return "blocked"
-        analog = to_analog(v, self.family)
         key = canonical_key(analog)
         if self.sb_rewriter and key in self.keys[v.dtype]:
             self.stats.pruned_rewriter += 1
-            self.trace(f"pruned-rewriter {self._show(v)} -> {key}")
-            self.patterns.append(generalize_pattern(
+            if self.trace:
+                self.trace(f"pruned-rewriter {self._show(v)} -> {key}")
+            self.patterns.add(generalize_pattern(
                 v, self.family, RewriterDup(key)))
             return "pruned_rewriter"
         if self.points is not None:
             sig = signature_of(v, self.family, self.points)
             if sig in self.sigs[v.dtype]:
                 self.stats.pruned_signature += 1
-                self.trace(f"pruned-signature {self._show(v)} -> {sig}")
-                self.patterns.append(generalize_pattern(
+                if self.trace:
+                    self.trace(
+                        f"pruned-signature {self._show(v)} -> {sig}")
+                self.patterns.add(generalize_pattern(
                     v, self.family,
                     SignatureDup(sig, tuple(tuple(p)
                                             for p in self.points))))
@@ -702,15 +756,15 @@ class EnumSession:
         return "{}({})".format(v.ctor,
                                ", ".join(self._show(c) for c in v.children))
 
-    def candidates(self, max_size: int,
-                   deadline: Optional[float] = None) -> Iterator[DtValue]:
-        """Retained start-datatype values in size order. Raises TimedOut
-        once ``deadline`` (a time.monotonic() value) passes while a
-        level is being built."""
+    def candidates(self, max_size: int, deadline: Optional[float] = None
+                   ) -> Iterator[tuple[DtValue, Term]]:
+        """Retained start-datatype values with their analogs, in size
+        order. Raises TimedOut once ``deadline`` (a time.monotonic()
+        value) passes while a level is being built."""
 
-        def admit(v: DtValue) -> bool:
+        def admit(v: DtValue, analog: Term) -> bool:
             _check_deadline(deadline, self.stats)
-            return self.process(v) == "retained"
+            return self.process(v, analog) == "retained"
 
         return Pools(self.family, admit).upto(self.family.start, max_size)
 
@@ -749,9 +803,8 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily,
                           points=points, trace=opts.trace)
     cex: list[dict] = []
     params = f.param_vars()
-    for v in session.candidates(opts.max_size, opts.deadline):
+    for _, body in session.candidates(opts.max_size, opts.deadline):
         _check_deadline(opts.deadline, session.stats)
-        body = to_analog(v, family)
         sol = {f.name: Lambda(params, body)}
         spec = apply_solution(p, sol)
         ok = True

@@ -173,4 +173,14 @@ def oracle_terms(g: Grammar, max_size: int, nt: str | None = None):
 def raw_values(family: DatatypeFamily, max_size: int):
     """Every start-datatype value up to ``max_size`` in size order, with
     no pruning: the search's pool builder admitting everything."""
-    return Pools(family, lambda v: True).upto(family.start, max_size)
+    return (v for v, _ in
+            Pools(family, lambda v, t: True).upto(family.start, max_size))
+
+
+def to_analog(v: DtValue, family: DatatypeFamily) -> Term:
+    """The term a datatype value denotes, rebuilt recursively from its
+    constructors: the oracle for the analogs the pools compose."""
+    c = family.constructor(v.dtype, v.ctor)
+    if c.op is None:
+        return c.leaf
+    return App(c.op, tuple(to_analog(ch, family) for ch in v.children))

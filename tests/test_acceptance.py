@@ -16,7 +16,6 @@ from synthlia.enumsearch import (
     default_grammar,
     grammar_to_datatypes,
     signature_of,
-    to_analog,
 )
 from synthlia.qfsolver import are_equivalent
 from synthlia.rewrite import canonical_key
@@ -35,7 +34,8 @@ from synthlia.terms import (
     le,
 )
 
-from helpers import key_set, load_golden, oracle_terms, raw_values
+from helpers import key_set, load_golden, oracle_terms, raw_values, \
+    to_analog
 
 from test_enum import eval_coherence_sample
 from test_qf_solver import cross_check_sample
@@ -160,11 +160,11 @@ def test_criterion_7_io_signature_pruning(capsys):
     family = grammar_to_datatypes(p.functions[0].grammar)
     session = EnumSession(family, points=points)
     sig_x = signature_of(DtValue("I", "x"), family, points)
-    session.process(DtValue("I", "x"))
+    session.process(DtValue("I", "x"), to_analog(DtValue("I", "x"), family))
     candidate = DtValue("I", "if", (
         DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
         DtValue("I", "x"), DtValue("I", "y")))
-    decision = session.process(candidate)
+    decision = session.process(candidate, to_analog(candidate, family))
     elapsed = time.monotonic() - t0
     ok = (points == [[1, 0], [2, 1], [7, 1]]
           and sig_x == (1, 2, 7)

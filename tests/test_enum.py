@@ -3,6 +3,7 @@ import random
 import pytest
 
 from synthlia.enumsearch import (
+    BlockingPattern,
     Constructor,
     Datatype,
     DatatypeFamily,
@@ -10,6 +11,8 @@ from synthlia.enumsearch import (
     EnumOptions,
     EnumSession,
     Exhausted,
+    PatternIndex,
+    Pools,
     RewriterDup,
     SignatureDup,
     TimedOut,
@@ -23,8 +26,8 @@ from synthlia.enumsearch import (
     pattern_matches,
     signature_of,
     solve_enum,
-    to_analog,
 )
+from synthlia import enumsearch
 from synthlia.qfsolver import are_equivalent
 from synthlia.rewrite import canonical_key
 from synthlia.terms import (
@@ -46,6 +49,7 @@ from helpers import (
     random_dt_value,
     raw_values,
     term_size,
+    to_analog,
 )
 
 x, y = ivar("x"), ivar("y")
@@ -277,6 +281,23 @@ def test_default_grammar_encoding_is_exact():
     assert raw == oracle
 
 
+ANALOG_FAMILIES = {
+    "io": io_family,
+    "nsi": nsi_family,
+    "default": lambda: grammar_to_datatypes(
+        default_grammar(FunSort((INT, INT), INT), ("x", "y"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALOG_FAMILIES))
+def test_pools_compose_the_analog_of_each_value(name):
+    fam = ANALOG_FAMILIES[name]()
+    pairs = list(Pools(fam, lambda v, t: True).upto(fam.start, 3))
+    assert len(pairs) > 1000
+    for v, t in pairs:
+        assert t == to_analog(v, fam)
+
+
 POOL_GRAMMARS = {
     "max_sym": lambda: load_golden("max_sym.sy").functions[0].grammar,
     "between_grammar":
@@ -320,7 +341,7 @@ def test_pruned_values_are_justified():
     # representative of the same datatype.
     audited = 0
     for v in raw_values(fam, 3):
-        if not session.blocked(v):
+        if not session.patterns.blocks(v):
             continue
         key = canonical_key(to_analog(v, fam))
         sig = signature_of(v, fam, EQ12_POINTS)
@@ -330,19 +351,62 @@ def test_pruned_values_are_justified():
     assert audited >= 200
 
 
+def stored_patterns(session, monkeypatch) -> list:
+    """The eager patterns plus every pattern the session stores while
+    it enumerates up to size 3, recorded as generalize_pattern returns
+    them."""
+    made = list(eager_patterns(session.family))
+    generalize = enumsearch.generalize_pattern
+
+    def recording(*args):
+        made.append(generalize(*args))
+        return made[-1]
+
+    monkeypatch.setattr(enumsearch, "generalize_pattern", recording)
+    list(session.candidates(3))
+    return made
+
+
+INDEX_SESSIONS = {
+    "io-signature": lambda: EnumSession(io_family(), points=EQ12_POINTS),
+    "nsi-rewriter": lambda: EnumSession(nsi_family()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_SESSIONS))
+def test_pattern_index_agrees_with_a_linear_scan(name, monkeypatch):
+    session = INDEX_SESSIONS[name]()
+    fam = session.family
+    patterns = stored_patterns(session, monkeypatch)
+    assert len(patterns) > len(eager_patterns(fam))
+    # No root constraint: blocks every I value whose first I child is x.
+    rootless = BlockingPattern("I", frozenset([((("I", 1),), "x")]))
+    index = PatternIndex(patterns + [rootless])
+    blocked = total = 0
+    for v in raw_values(fam, 3):
+        want = any(pattern_matches(p, v) for p in patterns)
+        assert session.patterns.blocks(v) == want, session._show(v)
+        want = want or pattern_matches(rootless, v)
+        assert index.blocks(v) == want, session._show(v)
+        blocked += want
+        total += 1
+    assert 0 < blocked < total
+
+
 def test_session_signature_pruning_on_the_paper_candidate():
     fam = io_family()
     session = EnumSession(fam, points=EQ12_POINTS)
-    assert session.process(DtValue("I", "x")) == "retained"
+    u = DtValue("I", "x")
+    assert session.process(u, to_analog(u, fam)) == "retained"
     v = DtValue("I", "if", (
         DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
         DtValue("I", "x"), DtValue("I", "y")))
-    assert session.process(v) == "pruned_signature"
+    assert session.process(v, to_analog(v, fam)) == "pruned_signature"
     # The stored pattern now blocks the same shape with any else branch.
     w = DtValue("I", "if", (
         DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
         DtValue("I", "x"), DtValue("I", "0")))
-    assert session.blocked(w)
+    assert session.patterns.blocks(w)
 
 
 # ---------------------------------------------------------------------------

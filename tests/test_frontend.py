@@ -252,7 +252,10 @@ def test_cli_input_errors(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_cli_rejects_nonpositive_caps(capsys):
-    rc = cli_main([str(GOLDEN / "between.sy"), "--max-size", "0"])
+@pytest.mark.parametrize("flag,value", [("--max-size", "0"),
+                                        ("--timeout", "0"),
+                                        ("--timeout", "-1")])
+def test_cli_rejects_nonpositive_caps(capsys, flag, value):
+    rc = cli_main([str(GOLDEN / "between.sy"), flag, value])
     capsys.readouterr()
     assert rc == 2
