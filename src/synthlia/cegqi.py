@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .classify import FirstOrderForm, shared_invocation_tuple
 from .enumsearch import TimedOut
@@ -20,6 +20,7 @@ from .problem import Grammar, SynthProblem, Solution
 from .rewrite import canonical_key, normalize, unit_bound
 from .qfsolver import ResourceLimit, Sat, Unsat, are_equivalent, check_sat
 from .terms import (
+    INT,
     App,
     BoolConst,
     EvalError,
@@ -50,16 +51,12 @@ class InstanceTrace:
 @dataclass(frozen=True)
 class Solved:
     trace: InstanceTrace
-    solution: Solution
 
 
 @dataclass(frozen=True)
 class GaveUp:
     reason: str
     trace: InstanceTrace
-
-
-CegqiResult = Union[Solved, GaveUp]
 
 
 class ReconstructionFailure(Exception):
@@ -71,8 +68,15 @@ def _subst_k(body: Term, kvars: tuple[Var, ...],
     return substitute(body, {k.name: t for k, t in zip(kvars, terms)})
 
 
+def _model_const(model: Assignment, k: Var) -> Term:
+    """The model's value of ``k`` as a constant (0 or false if unset)."""
+    if k.sort == INT:
+        return IntConst(int(model.get(k.name, 0)))
+    return BoolConst(bool(model.get(k.name, False)))
+
+
 def select_terms(model: Assignment, kvars: tuple[Var, ...],
-                 gamma: tuple[Term, ...], body: Term) -> tuple[Term, ...]:
+                 body: Term) -> tuple[Term, ...]:
     """Instantiation tuple for ``kvars``, chosen from the model.
 
     ``body`` is the un-negated first-order body P[k, x]. Preference per
@@ -119,22 +123,17 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
             else:
                 candidates.append((tier + 2, (val, canonical_key(t)), t))
         candidates.sort(key=lambda c: (c[0], c[1]))
-        if k.sort == "Int":
-            fallback: Term = IntConst(int(model.get(k.name, 0)))
-        else:
-            fallback = BoolConst(bool(model.get(k.name, False)))
         pick: Optional[Term] = None
         for _, _, t in candidates:
             trial = dict(chosen)
             trial[k.name] = t
             for rest in kvars[j + 1:]:
-                trial.setdefault(rest.name, IntConst(int(model.get(
-                    rest.name, 0))))
+                trial.setdefault(rest.name, _model_const(model, rest))
             if body_holds(trial):
                 pick = t
                 break
         if pick is None:
-            pick = fallback
+            pick = _model_const(model, k)
         chosen[k.name] = pick
         picked.append(pick)
     return tuple(picked)
@@ -163,7 +162,7 @@ def _cegqi_loop(fo: FirstOrderForm, kvars, instances, gamma, max_iters):
             else Sat({})
         if isinstance(core, Unsat):
             trace = InstanceTrace(tuple(instances), tuple(gamma))
-            return Solved(trace, {}), len(instances)
+            return Solved(trace), len(instances)
         full = check_sat(and_(*([normalize(g) for g in gamma]
                                 + [normalize(fo.pos_body)])))
         if isinstance(full, Unsat):
@@ -172,7 +171,7 @@ def _cegqi_loop(fo: FirstOrderForm, kvars, instances, gamma, max_iters):
         if len(instances) >= max_iters:
             trace = InstanceTrace(tuple(instances), tuple(gamma))
             return GaveUp("iteration-cap", trace), len(instances)
-        terms = select_terms(full.model, kvars, tuple(gamma), fo.pos_body)
+        terms = select_terms(full.model, kvars, fo.pos_body)
         inst = _subst_k(fo.body, kvars, terms)
         instances.append(terms)
         gamma.append(inst)

@@ -190,15 +190,6 @@ def classify(p: SynthProblem) -> ConjectureClass:
     return NON_SINGLE_INVOCATION
 
 
-def extract_io_examples(p: SynthProblem):
-    """The (inputs, outputs) pairs of an I/O example conjecture, in
-    constraint order, plus the bare input points."""
-    cls = classify(p)
-    if not isinstance(cls, IOExamples):
-        raise WrongClass("not an input-output example conjecture")
-    return list(cls.points), [ins for ins, _ in cls.points]
-
-
 def to_first_order(p: SynthProblem) -> FirstOrderForm:
     """Replace each invocation f_i(x) by a fresh z_i and negate."""
     cls = classify(p)

@@ -23,15 +23,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Syntax-guided synthesis for linear integer arithmetic.")
     ap.add_argument("file", help="problem file (SyGuS-style s-expressions)")
     ap.add_argument("--mode", choices=("auto", "cegqi", "enum", "portfolio"),
-                    default="auto")
-    ap.add_argument("--max-size", type=int, default=6, metavar="N",
-                    help="enumeration size cap (default 6)")
-    ap.add_argument("--max-iters", type=int, default=64, metavar="N",
-                    help="instantiation iteration cap (default 64)")
-    ap.add_argument("--recon-budget", type=int, default=3, metavar="N",
-                    help="reconstruction term-size budget (default 3)")
-    ap.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                    help="global time budget")
+                    default=SolverConfig.mode)
+    ap.add_argument("--max-size", type=int, default=SolverConfig.max_size,
+                    metavar="N",
+                    help="enumeration size cap (default %(default)s)")
+    ap.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
+                    metavar="N",
+                    help="instantiation iteration cap (default %(default)s)")
+    ap.add_argument("--recon-budget", type=int,
+                    default=SolverConfig.recon_budget, metavar="N",
+                    help="reconstruction term-size budget "
+                    "(default %(default)s)")
+    ap.add_argument("--timeout", type=float, default=SolverConfig.timeout,
+                    metavar="SECONDS", help="global time budget")
     ap.add_argument("--no-sb-rewriter", action="store_true",
                     help="disable rewriter-based symmetry breaking")
     ap.add_argument("--no-sb-examples", action="store_true",

@@ -166,11 +166,8 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
                recon_deadline: Optional[float] = None) -> Optional[Success]:
     if isinstance(cls, NonSingleInvocation):
         return None
-    try:
-        fo = to_first_order(q)
-        res, iters = solve_cegqi(fo, max_iters=cfg.max_iters)
-    except ResourceLimit:
-        return None
+    fo = to_first_order(q)
+    res, iters = solve_cegqi(fo, max_iters=cfg.max_iters)
     stats["cegqi_iterations"] = iters
     if isinstance(res, CegqiGaveUp):
         _trace(cfg, f"cegqi gave up: {res.reason}")

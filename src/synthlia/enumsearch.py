@@ -5,15 +5,17 @@ non-atomic productions through auxiliary single-constructor datatypes
 and dropping rules made redundant by the rewriter). Candidate solutions
 are datatype values enumerated in order of non-nullary constructor
 count, each together with its analog term, which is built once from
-its children's analogs. Duplicate candidates — same simplified analog,
-or same evaluation on the conjecture's example points — are pruned and
-turned into blocking patterns, the explicit-store counterpart of
-symmetry-breaking clauses. Patterns are generalized by replacing
-subtrees with fresh annotated variables whenever the justification for
-the pruning does not depend on them. The store indexes them in a trie
-per datatype over their sorted (selector path, constructor)
-constraints, so a candidate is checked against the patterns its own
-constructors lead to rather than against every stored pattern.
+its children's analogs; candidates are simplified and evaluated
+through that term. Duplicate candidates — same simplified analog, or
+same evaluation of the analog on the conjecture's example points — are
+pruned and turned into blocking patterns, the explicit-store
+counterpart of symmetry-breaking clauses. Patterns are generalized by
+replacing subtrees with fresh annotated variables whenever the
+justification for the pruning does not depend on them. The store
+indexes them in a trie per datatype over their sorted (selector path,
+constructor) constraints, so a candidate is checked against the
+patterns its own constructors lead to rather than against every stored
+pattern.
 """
 
 from __future__ import annotations
@@ -120,12 +122,6 @@ class DtValue:
     dtype: str
     ctor: str
     children: tuple["DtValue", ...] = ()
-
-
-def dt_size(v: DtValue) -> int:
-    """Non-nullary constructor count."""
-    n = 1 if v.children else 0
-    return n + sum(dt_size(c) for c in v.children)
 
 
 _OP_NAMES = {"+": "plus", "*": "mult", "ite": "if", "<=": "leq", "<": "lt",
@@ -286,53 +282,17 @@ def default_grammar(fsort: FunSort, param_names: tuple[str, ...]) -> Grammar:
 # Evaluation
 
 
-def eval_dt(v: DtValue, family: DatatypeFamily,
-            point: tuple[Value, ...]) -> Value:
-    if len(point) != len(family.params):
-        raise ValueError("point arity does not match the formal parameters")
-    env = {p.name: a for p, a in zip(family.params, point)}
-
-    def rec(u: DtValue) -> Value:
-        c = family.constructor(u.dtype, u.ctor)
-        if c.op is None:
-            return evaluate(c.leaf, env)
-        if c.op == "ite":
-            return rec(u.children[1] if rec(u.children[0])
-                       else u.children[2])
-        if c.op == "and":
-            return all(rec(ch) for ch in u.children)
-        if c.op == "or":
-            return any(rec(ch) for ch in u.children)
-        if c.op == "not":
-            return not rec(u.children[0])
-        if c.op == "=>":
-            return (not rec(u.children[0])) or bool(rec(u.children[1]))
-        vals = [rec(ch) for ch in u.children]
-        if c.op == "+":
-            return sum(vals)
-        if c.op == "*":
-            return vals[0] * vals[1]
-        if c.op == "<=":
-            return vals[0] <= vals[1]
-        if c.op == "<":
-            return vals[0] < vals[1]
-        if c.op == ">=":
-            return vals[0] >= vals[1]
-        if c.op == ">":
-            return vals[0] > vals[1]
-        if c.op == "=":
-            return vals[0] == vals[1]
-        raise ValueError(f"unknown operator {c.op!r}")
-
-    return rec(v)
-
-
-def signature_of(v: DtValue, family: DatatypeFamily,
+def signature_of(analog: Term, family: DatatypeFamily,
                  points: list) -> tuple:
-    """Evaluation vector of the candidate on the example input points."""
+    """Evaluation vector of a candidate's analog term on the example
+    input points."""
     if not points:
         raise ValueError("signature requires at least one point")
-    return tuple(eval_dt(v, family, tuple(p)) for p in points)
+    names = [p.name for p in family.params]
+    if any(len(point) != len(names) for point in points):
+        raise ValueError("point arity does not match the formal parameters")
+    return tuple(evaluate(analog, dict(zip(names, point)))
+                 for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +401,6 @@ def _node_paths(v: DtValue) -> list[tuple[SelectorPath, DtValue]]:
     return out
 
 
-def make_blocking_pattern(v: DtValue) -> BlockingPattern:
-    return BlockingPattern(
-        anchor=v.dtype,
-        constraints=frozenset((path, node.ctor)
-                              for path, node in _node_paths(v)))
-
-
 @dataclass(frozen=True)
 class RewriterDup:
     key: str
@@ -462,34 +415,35 @@ class SignatureDup:
 Justification = Union[RewriterDup, SignatureDup]
 
 
-def _analog_with_holes(v: DtValue, family: DatatypeFamily,
+def _analog_with_holes(v: DtValue, analog: Term, family: DatatypeFamily,
                        dropped: set[SelectorPath]) -> tuple[Term, dict]:
-    """Analog of ``v`` with each dropped subtree replaced by a fresh
-    variable annotated (via the returned map) with its datatype."""
+    """``analog`` (the analog of ``v``) with each dropped subtree
+    replaced by a fresh variable annotated (via the returned map) with
+    its datatype; subterms with no hole below are shared, not copied."""
     annot: dict[str, str] = {}
     counter = itertools.count()
+    above = {d[:i] for d in dropped for i in range(len(d))}
 
-    def rec(u: DtValue, path: SelectorPath) -> Term:
+    def rec(u: DtValue, t: Term, path: SelectorPath) -> Term:
         if path in dropped:
             name = f"_g{next(counter)}"
             annot[name] = u.dtype
             return Var(name, family.datatype(u.dtype).sort)
-        c = family.constructor(u.dtype, u.ctor)
-        if c.op is None:
-            return c.leaf
+        if path not in above:
+            return t
         counts: dict[str, int] = {}
         args = []
-        for ch in u.children:
+        for ch, a in zip(u.children, t.args):
             counts[ch.dtype] = counts.get(ch.dtype, 0) + 1
-            args.append(rec(ch, path + ((ch.dtype, counts[ch.dtype]),)))
-        return App(c.op, tuple(args))
+            args.append(rec(ch, a, path + ((ch.dtype, counts[ch.dtype]),)))
+        return App(t.op, tuple(args))
 
-    return rec(v, ()), annot
+    return rec(v, analog, ()), annot
 
 
-def _justified(v: DtValue, family: DatatypeFamily, just: Justification,
-               dropped: set[SelectorPath]) -> bool:
-    term, annot = _analog_with_holes(v, family, dropped)
+def _justified(v: DtValue, analog: Term, family: DatatypeFamily,
+               just: Justification, dropped: set[SelectorPath]) -> bool:
+    term, annot = _analog_with_holes(v, analog, family, dropped)
     fresh = set(annot)
     if isinstance(just, RewriterDup):
         n = normalize(term)
@@ -517,10 +471,11 @@ def _justified(v: DtValue, family: DatatypeFamily, just: Justification,
     return True
 
 
-def generalize_pattern(v: DtValue, family: DatatypeFamily,
+def generalize_pattern(v: DtValue, analog: Term, family: DatatypeFamily,
                        just: Justification) -> BlockingPattern:
-    """Blocking pattern for ``v``, greedily widened by dropping every
-    subtree the justification does not depend on."""
+    """Blocking pattern for ``v`` (whose analog is ``analog``), greedily
+    widened by dropping every subtree the justification does not
+    depend on."""
     paths = [path for path, _ in _node_paths(v) if path]
     paths.sort(key=lambda p: (-len(p), p))
     dropped: set[SelectorPath] = set()
@@ -528,7 +483,7 @@ def generalize_pattern(v: DtValue, family: DatatypeFamily,
         if any(cand[:len(d)] == d for d in dropped):
             continue
         trial = dropped | {cand}
-        if _justified(v, family, just, trial):
+        if _justified(v, analog, family, just, trial):
             dropped = trial
     constraints = []
     for path, node in _node_paths(v):
@@ -701,18 +656,18 @@ class EnumSession:
     def __init__(self, family: DatatypeFamily, *,
                  sb_rewriter: bool = True,
                  points: Optional[list] = None,
-                 eager: bool = True,
                  trace: Optional[Callable[[str], None]] = None):
         self.family = family
         self.sb_rewriter = sb_rewriter
         self.points = points
         self.trace = trace
         self.stats = EnumStats()
-        self.patterns = PatternIndex(eager_patterns(family) if eager else ())
-        self.keys: dict[str, dict[str, DtValue]] = \
-            {d.name: {} for d in family.datatypes}
-        self.sigs: dict[str, dict[tuple, str]] = \
-            {d.name: {} for d in family.datatypes}
+        self.patterns = PatternIndex(eager_patterns(family))
+        # Per datatype: the canonical keys and the signatures retained.
+        self.keys: dict[str, set[str]] = \
+            {d.name: set() for d in family.datatypes}
+        self.sigs: dict[str, set[tuple]] = \
+            {d.name: set() for d in family.datatypes}
 
     # -- candidate admission ------------------------------------------------
 
@@ -731,23 +686,23 @@ class EnumSession:
             if self.trace:
                 self.trace(f"pruned-rewriter {self._show(v)} -> {key}")
             self.patterns.add(generalize_pattern(
-                v, self.family, RewriterDup(key)))
+                v, analog, self.family, RewriterDup(key)))
             return "pruned_rewriter"
         if self.points is not None:
-            sig = signature_of(v, self.family, self.points)
+            sig = signature_of(analog, self.family, self.points)
             if sig in self.sigs[v.dtype]:
                 self.stats.pruned_signature += 1
                 if self.trace:
                     self.trace(
                         f"pruned-signature {self._show(v)} -> {sig}")
                 self.patterns.add(generalize_pattern(
-                    v, self.family,
+                    v, analog, self.family,
                     SignatureDup(sig, tuple(tuple(p)
                                             for p in self.points))))
                 return "pruned_signature"
-            self.sigs[v.dtype][sig] = key
+            self.sigs[v.dtype].add(sig)
         self.stats.retained += 1
-        self.keys[v.dtype][key] = v
+        self.keys[v.dtype].add(key)
         return "retained"
 
     def _show(self, v: DtValue) -> str:

@@ -43,6 +43,11 @@ class ResourceLimit(Exception):
     """The solver exceeded its iteration budget; never silently wrong."""
 
 
+# Steps one check_sat call may take in its propositional search, and
+# again in each omega test it runs, before it raises ResourceLimit.
+STEP_BUDGET = 200000
+
+
 @dataclass(frozen=True)
 class Sat:
     model: Assignment
@@ -123,8 +128,8 @@ def _symmetric_mod(a: int, m: int) -> int:
 
 
 class _Omega:
-    def __init__(self, limit: int = 200000):
-        self.budget = limit
+    def __init__(self):
+        self.budget = STEP_BUDGET
 
     def _tick(self):
         self.budget -= 1
@@ -298,11 +303,6 @@ class _Omega:
         return (coeffs, a * f[1] + b * e[1] - slack)
 
 
-def lia_feasible(eqs: list[LinExpr], ineqs: list[LinExpr],
-                 limit: int = 200000) -> Optional[dict]:
-    return _Omega(limit).solve(eqs, ineqs)
-
-
 # ---------------------------------------------------------------------------
 # Boolean layer
 
@@ -331,9 +331,8 @@ class _Atom:
 
 
 class _Checker:
-    def __init__(self, f: Term, limit: int):
-        self.limit = limit
-        self.budget = limit
+    def __init__(self, f: Term):
+        self.budget = STEP_BUDGET
         self.atoms: list[_Atom] = []
         self.atom_ids: dict = {}
         defs: list = []
@@ -482,7 +481,7 @@ class _Checker:
     def _with_diseqs(self, eqs, ineqs, diseqs, bools) -> Optional[Assignment]:
         if not diseqs:
             self._charge(50)
-            m = lia_feasible(eqs, ineqs, self.limit)
+            m = _Omega().solve(eqs, ineqs)
             if m is None:
                 return None
             out: Assignment = dict(bools)
@@ -517,14 +516,14 @@ def _negate_ge(e: LinExpr) -> LinExpr:
 # Public interface
 
 
-def check_sat(f: Term, limit: int = 200000) -> SatResult:
+def check_sat(f: Term) -> SatResult:
     """Decide satisfiability of a ground formula; free variables are
     treated as existential and a satisfying assignment is returned."""
     if sort_of(f) != BOOL:
         raise SortError("check_sat expects a boolean formula")
     if uf_names(f):
         raise SortError("check_sat cannot handle unknown functions")
-    result = _Checker(f, limit).check()
+    result = _Checker(f).check()
     if isinstance(result, Sat):
         # Total model over the formula's variables.
         model = dict(result.model)
@@ -534,14 +533,14 @@ def check_sat(f: Term, limit: int = 200000) -> SatResult:
     return result
 
 
-def check_valid(f: Term, limit: int = 200000) -> bool:
-    return isinstance(check_sat(not_(f), limit), Unsat)
+def check_valid(f: Term) -> bool:
+    return isinstance(check_sat(not_(f)), Unsat)
 
 
-def are_equivalent(t1: Term, t2: Term, limit: int = 200000) -> bool:
+def are_equivalent(t1: Term, t2: Term) -> bool:
     """Theory equivalence of two terms of equal base sort, with free
     variables read universally."""
     s1, s2 = sort_of(t1), sort_of(t2)
     if s1 != s2:
         raise SortError("cannot compare terms of different sorts")
-    return isinstance(check_sat(not_(eq(t1, t2)), limit), Unsat)
+    return isinstance(check_sat(not_(eq(t1, t2))), Unsat)

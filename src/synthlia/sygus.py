@@ -30,7 +30,6 @@ from .terms import (
     Term,
     UFApp,
     Var,
-    add,
     mul,
     neg,
     sub,

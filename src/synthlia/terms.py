@@ -89,16 +89,11 @@ class Lambda:
 
 Term = Union[IntConst, BoolConst, Var, App, UFApp, Lambda]
 
-BOOL_OPS = {"<=", "<", ">=", ">", "=", "not", "and", "or", "=>"}
 COMPARISONS = {"<=", "<", ">=", ">"}
 
 
 # ---------------------------------------------------------------------------
 # Smart constructors
-
-
-def mk_int(v: int) -> IntConst:
-    return IntConst(int(v))
 
 
 TRUE = BoolConst(True)
@@ -352,16 +347,6 @@ def uf_names(t: Term) -> set[str]:
 
 def uf_apps(t: Term) -> list[UFApp]:
     return [s for s in subterms(t) if isinstance(s, UFApp)]
-
-
-def term_size(t: Term) -> int:
-    """Number of non-nullary operator applications (leaves cost 0)."""
-    if isinstance(t, (IntConst, BoolConst, Var)):
-        return 0
-    if isinstance(t, Lambda):
-        return term_size(t.body)
-    n = 1 if t.args else 0
-    return n + sum(term_size(a) for a in t.args)
 
 
 def substitute(t: Term, m: Mapping[str, Term]) -> Term:

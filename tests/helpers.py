@@ -105,23 +105,6 @@ def brute_force_model(f: Term, lo: int = -6, hi: int = 6):
 
 
 # ---------------------------------------------------------------------------
-# Random datatype values
-
-
-def random_dt_value(rng: random.Random, family: DatatypeFamily,
-                    dtname: str, depth: int = 4) -> DtValue:
-    ctors = family.datatype(dtname).constructors
-    if depth == 0:
-        leaves = [c for c in ctors if c.arity() == 0]
-        if leaves:
-            ctors = leaves
-    c = rng.choice(list(ctors))
-    kids = tuple(random_dt_value(rng, family, d, max(depth - 1, 0))
-                 for d in c.children)
-    return DtValue(dtname, c.name, kids)
-
-
-# ---------------------------------------------------------------------------
 # Grammar oracles
 
 

@@ -159,7 +159,8 @@ def test_criterion_7_io_signature_pruning(capsys):
     points = [list(ins) for ins, _ in cls.points]
     family = grammar_to_datatypes(p.functions[0].grammar)
     session = EnumSession(family, points=points)
-    sig_x = signature_of(DtValue("I", "x"), family, points)
+    sig_x = signature_of(to_analog(DtValue("I", "x"), family), family,
+                         points)
     session.process(DtValue("I", "x"), to_analog(DtValue("I", "x"), family))
     candidate = DtValue("I", "if", (
         DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),

@@ -12,9 +12,10 @@ from synthlia.cegqi import (
     solve_cegqi,
 )
 from synthlia.classify import to_first_order, to_single_invocation
+from synthlia.driver import SolverConfig, Success, solve
 from synthlia.problem import Grammar, SynthFun, SynthProblem, apply_solution
 from synthlia.qfsolver import are_equivalent, check_valid
-from synthlia.rewrite import canonical_key, normalize
+from synthlia.rewrite import canonical_key
 from synthlia.terms import (
     BOOL,
     INT,
@@ -26,8 +27,10 @@ from synthlia.terms import (
     Var,
     add,
     and_,
+    eq,
     evaluate,
     free_vars,
+    ge,
     gt,
     ite,
     ivar,
@@ -107,15 +110,33 @@ def test_select_terms_prefers_satisfied_bounds():
     k = ivar("k")
     body = and_(le(x, k), le(k, y))
     model = {"x": 2, "y": 5, "k": 2}
-    picked = select_terms(model, (k,), (), body)
+    picked = select_terms(model, (k,), body)
     assert picked == (x,)  # the maximal satisfied lower bound
 
 
 def test_select_terms_constant_fallback():
     k = ivar("k")
     body = le(add(k, k), y)  # non-unit coefficient: no usable bounds
-    picked = select_terms({"y": 10, "k": 3}, (k,), (), body)
+    picked = select_terms({"y": 10, "k": 3}, (k,), body)
     assert picked == (IntConst(3),)
+
+
+def test_select_terms_fills_later_bool_variables_with_bool_constants():
+    # f's bounds are tried while g's instantiation variable is still
+    # open; it must be filled with a Bool, not an Int, constant.
+    fsort = FunSort((INT, INT), INT)
+    gsort = FunSort((INT, INT), BOOL)
+    f = SynthFun("f", fsort, ("a", "b"))
+    g = SynthFun("g", gsort, ("a", "b"))
+    fxy = UFApp("f", fsort, (x, y))
+    p = SynthProblem(
+        functions=(f, g),
+        universals=(x, y),
+        constraint=and_(ge(fxy, x), ge(fxy, y),
+                        eq(UFApp("g", gsort, (x, y)), le(x, y))))
+    out = solve(p, SolverConfig(verify=True))
+    assert isinstance(out, Success), out
+    assert check_valid(apply_solution(p, out.solution))
 
 
 def test_extract_solution_needs_instances():

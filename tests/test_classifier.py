@@ -7,7 +7,6 @@ from synthlia.classify import (
     SingleInvocation,
     WrongClass,
     classify,
-    extract_io_examples,
     to_first_order,
     to_single_invocation,
 )
@@ -67,11 +66,6 @@ def test_repeated_argument_is_not_single_invocation():
         universals=(x,),
         constraint=ge(fxy(x, x), x))
     assert isinstance(classify(p), NonSingleInvocation)
-
-
-def test_extract_io_examples_rejects_other_classes():
-    with pytest.raises(WrongClass):
-        extract_io_examples(load_golden("between.sy"))
 
 
 def test_to_first_order_shape():

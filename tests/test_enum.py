@@ -17,12 +17,9 @@ from synthlia.enumsearch import (
     SignatureDup,
     TimedOut,
     default_grammar,
-    dt_size,
     eager_patterns,
-    eval_dt,
     generalize_pattern,
     grammar_to_datatypes,
-    make_blocking_pattern,
     pattern_matches,
     signature_of,
     solve_enum,
@@ -46,7 +43,6 @@ from helpers import (
     key_set,
     load_golden,
     oracle_terms,
-    random_dt_value,
     raw_values,
     term_size,
     to_analog,
@@ -122,33 +118,38 @@ def test_to_analog_examples():
         DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
         DtValue("I", "x"), DtValue("I", "y")))
     assert to_analog(v, fam) == ite(le(y, x), x, y)
-    assert dt_size(v) == 2
 
 
 def eval_coherence_sample(n: int, seed: int = 19) -> int:
-    """Oracle: eval_dt must agree with direct evaluation of the analog
-    term on every point. Returns the number of values checked."""
+    """Oracle: the signature of each analog a pool composed must agree
+    with direct evaluation of the value's recursively rebuilt analog, on
+    random points. The pairs come from every datatype's pool up to size
+    3. Returns the number of pairs checked."""
     rng = random.Random(seed)
     fam = io_family()
-    dtnames = [d.name for d in fam.datatypes]
+    pools = Pools(fam, lambda v, t: True)
+    pairs = [pair for d in fam.datatypes for pair in pools.upto(d.name, 3)]
     for _ in range(n):
-        v = random_dt_value(rng, fam, rng.choice(dtnames), depth=3)
+        v, t = rng.choice(pairs)
         point = (rng.randint(-5, 5), rng.randint(-5, 5))
         env = {"x": point[0], "y": point[1]}
-        assert eval_dt(v, fam, point) == evaluate(to_analog(v, fam), env)
+        assert signature_of(t, fam, [point]) == \
+            (evaluate(to_analog(v, fam), env),)
     return n
 
 
-def test_eval_dt_matches_analog_evaluation():
+def test_signature_matches_analog_evaluation():
     assert eval_coherence_sample(500) == 500
 
 
 def test_signature_of_on_example_points():
     fam = io_family()
-    assert signature_of(DtValue("I", "x"), fam, EQ12_POINTS) == (1, 2, 7)
-    assert signature_of(DtValue("I", "1"), fam, EQ12_POINTS) == (1, 1, 1)
+    assert signature_of(x, fam, EQ12_POINTS) == (1, 2, 7)
+    assert signature_of(IntConst(1), fam, EQ12_POINTS) == (1, 1, 1)
     with pytest.raises(ValueError):
-        signature_of(DtValue("I", "x"), fam, [])
+        signature_of(x, fam, [])
+    with pytest.raises(ValueError):
+        signature_of(x, fam, [(1, 0), (2,)])
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +161,9 @@ def plus_x_zero():
 
 
 def test_make_and_match_exact_pattern():
-    fam = io_family()
     v = plus_x_zero()
-    p = make_blocking_pattern(v)
+    p = BlockingPattern("I", frozenset([
+        ((), "plus"), ((("I", 1),), "x"), ((("I", 2),), "0")]))
     assert pattern_matches(p, v)
     other = DtValue("I", "plus", (DtValue("I", "y"), DtValue("I", "0")))
     assert not pattern_matches(p, other)
@@ -172,7 +173,8 @@ def test_make_and_match_exact_pattern():
 
 def test_generalize_plus_zero_drops_first_child():
     fam = io_family()
-    p = generalize_pattern(plus_x_zero(), fam,
+    v = plus_x_zero()
+    p = generalize_pattern(v, to_analog(v, fam), fam,
                            RewriterDup(canonical_key(x)))
     assert p.anchor == "I"
     assert p.constraints == frozenset([((), "plus"), ((("I", 2),), "0")])
@@ -188,7 +190,8 @@ def test_generalize_constant_condition_ite_drops_both_branches():
     v = DtValue("I", "if", (
         DtValue("B", "leq", (DtValue("I", "0"), DtValue("I", "1"))),
         DtValue("I", "x"), DtValue("I", "0")))
-    p = generalize_pattern(v, fam, RewriterDup(canonical_key(x)))
+    p = generalize_pattern(v, to_analog(v, fam), fam,
+                           RewriterDup(canonical_key(x)))
     assert p.constraints == frozenset([
         ((), "if"),
         ((("B", 1),), "leq"),
@@ -216,7 +219,8 @@ def test_annotation_guard_blocks_cross_type_generalization():
         ),
         start="I", params=(x, y))
     v = DtValue("I", "plus", (DtValue("I1", "x"), DtValue("I2", "0")))
-    p = generalize_pattern(v, fam, RewriterDup(canonical_key(x)))
+    p = generalize_pattern(v, to_analog(v, fam), fam,
+                           RewriterDup(canonical_key(x)))
     # plus(y, 0) would be a genuine candidate; it must stay unblocked.
     assert p.constraints == frozenset([
         ((), "plus"), ((("I1", 1),), "x"), ((("I2", 1),), "0")])
@@ -229,7 +233,7 @@ def test_signature_generalization_drops_only_the_else_branch():
     v = DtValue("I", "if", (
         DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
         DtValue("I", "x"), DtValue("I", "y")))
-    p = generalize_pattern(v, fam, SignatureDup(
+    p = generalize_pattern(v, to_analog(v, fam), fam, SignatureDup(
         (1, 2, 7), tuple(tuple(pt) for pt in EQ12_POINTS)))
     # On (1,0),(2,1),(7,1) the condition y <= x always holds, so the
     # else branch is irrelevant; the then branch is not.
@@ -343,8 +347,9 @@ def test_pruned_values_are_justified():
     for v in raw_values(fam, 3):
         if not session.patterns.blocks(v):
             continue
-        key = canonical_key(to_analog(v, fam))
-        sig = signature_of(v, fam, EQ12_POINTS)
+        analog = to_analog(v, fam)
+        key = canonical_key(analog)
+        sig = signature_of(analog, fam, EQ12_POINTS)
         assert key in session.keys[v.dtype] \
             or sig in session.sigs[v.dtype], session._show(v)
         audited += 1

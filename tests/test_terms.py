@@ -34,7 +34,6 @@ from synthlia.terms import (
     sub,
     substitute,
     subterms,
-    term_size,
     uf_apps,
     well_sorted,
 )
@@ -98,12 +97,6 @@ def test_free_vars_and_subterms():
     assert free_vars(t) == {x, y, z}
     assert t in set(subterms(t))
     assert x in set(subterms(t))
-
-
-def test_term_size_counts_applications():
-    assert term_size(x) == 0
-    assert term_size(add(x, y)) == 1
-    assert term_size(ite(le(x, y), add(x, y), y)) == 3
 
 
 def test_substitute_is_simultaneous_and_sort_checked():
