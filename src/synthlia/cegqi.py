@@ -10,12 +10,11 @@ instance from the bounds the body places on the instantiation variables.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .classify import FirstOrderForm, shared_invocation_tuple
-from .enumsearch import TimedOut
+from .enumsearch import check_deadline
 from .problem import Grammar, SynthProblem, Solution
 from .rewrite import canonical_key, normalize, unit_bound
 from .qfsolver import ResourceLimit, Sat, Unsat, are_equivalent, check_sat
@@ -42,10 +41,9 @@ Assignment = Mapping[str, Value]
 
 @dataclass(frozen=True)
 class InstanceTrace:
-    """Ordered instantiation tuples and the formulas they induce."""
+    """Ordered instantiation tuples."""
 
     instances: tuple[tuple[Term, ...], ...]
-    gamma: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
@@ -139,42 +137,40 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
     return tuple(picked)
 
 
-def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64):
-    """Run the instantiation loop; returns (result, iterations).
+def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64,
+                deadline: Optional[float] = None):
+    """Run the instantiation loop; returns Solved or GaveUp.
 
     The result carries the instance trace; the solution itself is left
     for ``extract_solution`` since it needs the problem for parameter
-    naming.
+    naming. Raises TimedOut once ``deadline`` (a time.monotonic() value)
+    has passed at the start of an iteration.
     """
-    kvars = fo.instvars
     instances: list[tuple[Term, ...]] = []
-    gamma: list[Term] = []
     try:
-        return _cegqi_loop(fo, kvars, instances, gamma, max_iters)
+        return _cegqi_loop(fo, instances, max_iters, deadline)
     except ResourceLimit:
-        trace = InstanceTrace(tuple(instances), tuple(gamma))
-        return GaveUp("resource-limit", trace), len(instances)
+        return GaveUp("resource-limit", InstanceTrace(tuple(instances)))
 
 
-def _cegqi_loop(fo: FirstOrderForm, kvars, instances, gamma, max_iters):
+def _cegqi_loop(fo: FirstOrderForm, instances, max_iters, deadline):
+    kvars = fo.instvars
+    gamma: list[Term] = []
     while True:
+        check_deadline(deadline)
         core = check_sat(and_(*[normalize(g) for g in gamma])) if gamma \
             else Sat({})
         if isinstance(core, Unsat):
-            trace = InstanceTrace(tuple(instances), tuple(gamma))
-            return Solved(trace), len(instances)
+            return Solved(InstanceTrace(tuple(instances)))
         full = check_sat(and_(*([normalize(g) for g in gamma]
                                 + [normalize(fo.pos_body)])))
         if isinstance(full, Unsat):
-            trace = InstanceTrace(tuple(instances), tuple(gamma))
-            return GaveUp("infeasible", trace), len(instances)
+            return GaveUp("infeasible", InstanceTrace(tuple(instances)))
         if len(instances) >= max_iters:
-            trace = InstanceTrace(tuple(instances), tuple(gamma))
-            return GaveUp("iteration-cap", trace), len(instances)
+            return GaveUp("iteration-cap", InstanceTrace(tuple(instances)))
         terms = select_terms(full.model, kvars, fo.pos_body)
-        inst = _subst_k(fo.body, kvars, terms)
         instances.append(terms)
-        gamma.append(inst)
+        gamma.append(_subst_k(fo.body, kvars, terms))
 
 
 def extract_solution(trace: InstanceTrace, p: SynthProblem,
@@ -207,28 +203,19 @@ def extract_solution(trace: InstanceTrace, p: SynthProblem,
 # Reconstruction against a grammar
 
 
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise ReconstructionFailure("reconstruction time budget exhausted")
-
-
 def _smallest_upto(g: Grammar, nt: str, size: int, pool: dict,
                    deadline: Optional[float]) -> dict[str, Term]:
     """Canonical key -> smallest term of ``nt`` up to ``size``, cached
     in ``pool`` per (nonterminal, size)."""
     got = pool.get((nt, size))
     if got is None:
-        try:
-            got = pool[(nt, size)] = g.terms_upto(size, nt, deadline)
-        except TimedOut:
-            raise ReconstructionFailure(
-                "reconstruction time budget exhausted") from None
+        got = pool[(nt, size)] = g.terms_upto(size, nt, deadline)
     return got
 
 
 def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
                 pool: dict, deadline: Optional[float] = None) -> Term:
-    _check_deadline(deadline)
+    check_deadline(deadline)
     if g.generates(t, nt):
         return t
     # Look the normal form up one size level at a time: most solutions
@@ -238,7 +225,7 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
         hit = _smallest_upto(g, nt, size, pool, deadline).get(want)
         if hit is not None:
             return hit
-    _check_deadline(deadline)
+    check_deadline(deadline)
     # Top-level repair: keep the operator, reconstruct children against
     # the nonterminals a matching production assigns them.
     if isinstance(t, App):
@@ -256,7 +243,7 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
                 continue
             return App(t.op, kids)
     for c in _smallest_upto(g, nt, budget, pool, deadline).values():
-        _check_deadline(deadline)
+        check_deadline(deadline)
         if are_equivalent(c, t):
             return c
     raise ReconstructionFailure(
@@ -267,8 +254,8 @@ def reconstruct(s: Solution, g: Grammar, budget: int = 3,
                 deadline: Optional[float] = None) -> Solution:
     """Equivalent solution whose bodies the grammar generates.
 
-    Raises ReconstructionFailure when the size budget or the deadline
-    is exhausted.
+    Raises ReconstructionFailure when the size budget is exhausted and
+    TimedOut once ``deadline`` passes.
     """
     out: Solution = {}
     pool: dict = {}

@@ -28,6 +28,7 @@ from .terms import (
     fresh_name,
     free_vars,
     implies,
+    map_uf_apps,
     not_,
     substitute,
     uf_apps,
@@ -58,7 +59,6 @@ NON_SINGLE_INVOCATION = NonSingleInvocation()
 
 @dataclass(frozen=True)
 class FirstOrderForm:
-    skolems: tuple[Var, ...]       # the universals, now free constants
     instvars: tuple[Var, ...]      # one fresh z per synthesized function
     body: Term                     # not(P[z, x]), no unknown functions
     pos_body: Term                 # P[z, x]
@@ -198,17 +198,8 @@ def to_first_order(p: SynthProblem) -> FirstOrderForm:
     zs = {}
     for f in p.functions:
         zs[f.name] = Var(fresh_name("z"), f.fsort.ret)
-
-    def repl(t: Term) -> Term:
-        if isinstance(t, UFApp):
-            return zs[t.fname]
-        if isinstance(t, App):
-            return App(t.op, tuple(repl(a) for a in t.args))
-        return t
-
-    pos = repl(p.constraint)
+    pos = map_uf_apps(p.constraint, lambda u: zs[u.fname])
     return FirstOrderForm(
-        skolems=tuple(p.universals),
         instvars=tuple(zs[f.name] for f in p.functions),
         body=not_(pos),
         pos_body=pos,
@@ -244,15 +235,8 @@ def _lift_ground_invocations(p: SynthProblem) -> Optional[SynthProblem]:
             return None
         args = next(iter(tuples))
         guard = and_(*[eq(v, a) for v, a in zip(fresh, args)])
-
-        def repl(t: Term) -> Term:
-            if isinstance(t, UFApp):
-                return UFApp(t.fname, t.fsort, fresh)
-            if isinstance(t, App):
-                return App(t.op, tuple(repl(a) for a in t.args))
-            return t
-
-        new_conjuncts.append(implies(guard, repl(c)))
+        lifted = map_uf_apps(c, lambda u: UFApp(u.fname, u.fsort, fresh))
+        new_conjuncts.append(implies(guard, lifted))
     return SynthProblem(p.functions, fresh, and_(*new_conjuncts))
 
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .driver import SolverConfig, Success, solve
+from .driver import MODES, SolverConfig, Success, solve
 from .problem import GrammarError
 from .sygus import ParseError, parse_problem, print_solution
 from .terms import SortError
@@ -22,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="synthlia",
         description="Syntax-guided synthesis for linear integer arithmetic.")
     ap.add_argument("file", help="problem file (SyGuS-style s-expressions)")
-    ap.add_argument("--mode", choices=("auto", "cegqi", "enum", "portfolio"),
+    ap.add_argument("--mode", choices=MODES,
                     default=SolverConfig.mode)
     ap.add_argument("--max-size", type=int, default=SolverConfig.max_size,
                     metavar="N",

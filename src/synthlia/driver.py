@@ -32,7 +32,6 @@ from .classify import (
     to_single_invocation,
 )
 from .enumsearch import (
-    EnumOptions,
     EnumStats,
     Exhausted,
     TimedOut,
@@ -44,9 +43,12 @@ from .problem import Solution, SynthProblem, apply_solution
 from .qfsolver import ResourceLimit, check_valid
 
 
+MODES = ("auto", "cegqi", "enum", "portfolio")
+
+
 @dataclass
 class SolverConfig:
-    mode: str = "auto"  # auto | cegqi | enum | portfolio
+    mode: str = "auto"  # one of MODES
     max_size: int = 6
     max_iters: int = 64
     recon_budget: int = 3
@@ -92,6 +94,9 @@ def _trace(cfg: SolverConfig, msg: str) -> None:
 
 def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
     cfg = cfg or SolverConfig()
+    if cfg.mode not in MODES:
+        raise ValueError(f"unknown mode {cfg.mode!r}; expected one of "
+                         f"{', '.join(MODES)}")
     t0 = time.monotonic()
     deadline = t0 + cfg.timeout if cfg.timeout is not None else None
     stats: dict = {
@@ -116,59 +121,55 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
 
     has_grammar = any(f.grammar is not None for f in q.functions)
 
-    if cfg.mode == "cegqi":
-        route = "cegqi"
-    elif cfg.mode == "enum":
+    if cfg.mode != "auto":
+        route = cfg.mode
+    elif isinstance(cls, NonSingleInvocation):
         route = "enum"
-    elif cfg.mode == "portfolio":
+    elif isinstance(cls, IOExamples) and has_grammar:
+        route = "enum"
+    elif has_grammar:
         route = "portfolio"
     else:
-        if isinstance(cls, NonSingleInvocation):
-            route = "enum"
-        elif isinstance(cls, IOExamples) and has_grammar:
-            route = "enum"
-        elif has_grammar:
-            route = "portfolio"
-        else:
-            route = "cegqi"
+        route = "cegqi"
     _trace(cfg, f"route {route} ({type(cls).__name__}, "
                 f"grammar={'yes' if has_grammar else 'no'})")
 
-    if route in ("cegqi", "portfolio"):
-        # Reconstruction gets a fixed 20% slice of the time budget;
-        # past that the portfolio falls through to enumeration.
-        recon_deadline = (t0 + 0.2 * cfg.timeout
-                          if cfg.timeout is not None else None)
-        out = _run_cegqi(p, q, cls, cfg, stats,
-                         reconstruct_after=has_grammar,
-                         recon_deadline=recon_deadline)
-        if out is not None:
-            return finish(out)
-        if route == "cegqi":
-            return finish(GaveUp("cegqi-failed", stats))
-        _trace(cfg, "portfolio: falling back to enumeration")
-
     try:
+        if route in ("cegqi", "portfolio"):
+            # Reconstruction gets a fixed 20% slice of the time budget;
+            # past that the portfolio falls through to enumeration.
+            recon_deadline = (t0 + 0.2 * cfg.timeout
+                              if cfg.timeout is not None else None)
+            out = _run_cegqi(p, q, cls, cfg, stats, has_grammar,
+                             deadline, recon_deadline)
+            if out is not None:
+                return finish(out)
+            if route == "cegqi":
+                return finish(GaveUp("cegqi-failed", stats))
+            _trace(cfg, "portfolio: falling back to enumeration")
         return finish(_run_enum(p, q, cfg, stats, deadline))
     except Exhausted as e:
         _enum_counts(stats, e.stats)
         return finish(GaveUp(f"exhausted(size={e.size_cap})", stats))
     except TimedOut as e:
-        _enum_counts(stats, e.stats)
+        if e.stats is not None:  # None when the CEGQI loop timed out
+            _enum_counts(stats, e.stats)
         return finish(GaveUp(f"timeout({cfg.timeout:g}s)", stats))
     except ResourceLimit:
         return finish(GaveUp("resource-limit", stats))
 
 
 def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
-               cfg: SolverConfig, stats: dict,
-               reconstruct_after: bool,
-               recon_deadline: Optional[float] = None) -> Optional[Success]:
+               cfg: SolverConfig, stats: dict, reconstruct_after: bool,
+               deadline: Optional[float],
+               recon_deadline: Optional[float]) -> Optional[Success]:
+    """The CEGQI route, or None to fall back. A timeout of the
+    instantiation loop propagates; one of reconstruction falls back."""
     if isinstance(cls, NonSingleInvocation):
         return None
     fo = to_first_order(q)
-    res, iters = solve_cegqi(fo, max_iters=cfg.max_iters)
-    stats["cegqi_iterations"] = iters
+    res = solve_cegqi(fo, max_iters=cfg.max_iters, deadline=deadline)
+    stats["cegqi_iterations"] = len(res.trace.instances)
     if isinstance(res, CegqiGaveUp):
         _trace(cfg, f"cegqi gave up: {res.reason}")
         return None
@@ -187,7 +188,7 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
                     fixed[f.name] = one[f.name]
             sol = fixed
             strategy = "cegqi+reconstruction"
-        except (ReconstructionFailure, ResourceLimit):
+        except (ReconstructionFailure, ResourceLimit, TimedOut):
             _trace(cfg, "reconstruction failed within budget")
             return None
     if cfg.verify and not verify_solution(orig, sol):
@@ -203,12 +204,10 @@ def _run_enum(orig: SynthProblem, q: SynthProblem, cfg: SolverConfig,
     f = q.functions[0]
     grammar = f.grammar or default_grammar(f.fsort, f.param_names)
     family = grammar_to_datatypes(grammar)
-    opts = EnumOptions(max_size=cfg.max_size,
-                       sb_rewriter=cfg.sb_rewriter,
-                       sb_examples=cfg.sb_examples,
-                       trace=cfg.trace,
-                       deadline=deadline)
-    sol, estats = solve_enum(q, family, opts)
+    sol, estats = solve_enum(q, family, max_size=cfg.max_size,
+                             sb_rewriter=cfg.sb_rewriter,
+                             sb_examples=cfg.sb_examples,
+                             trace=cfg.trace, deadline=deadline)
     _enum_counts(stats, estats)
     if cfg.verify and not verify_solution(orig, sol):
         return GaveUp("verification-failed", stats)

@@ -592,8 +592,10 @@ class Pools:
             yield from self.level(dtname, size)
 
 
-def _check_deadline(deadline: Optional[float],
-                    stats: Optional[EnumStats] = None) -> None:
+def check_deadline(deadline: Optional[float],
+                   stats: Optional[EnumStats] = None) -> None:
+    """Raise TimedOut, carrying ``stats``, once ``deadline`` (a
+    time.monotonic() value, or None for no deadline) has passed."""
     if deadline is not None and time.monotonic() > deadline:
         raise TimedOut(stats)
 
@@ -614,7 +616,7 @@ def smallest_terms(g: Grammar, max_size: int, nt: str,
         {d.name: {} for d in family.datatypes}
 
     def admit(v: DtValue, t: Term) -> bool:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         key = canonical_key(t)
         seen = terms[v.dtype]
         if key in seen:
@@ -718,7 +720,7 @@ class EnumSession:
         value) passes while a level is being built."""
 
         def admit(v: DtValue, analog: Term) -> bool:
-            _check_deadline(deadline, self.stats)
+            check_deadline(deadline, self.stats)
             return self.process(v, analog) == "retained"
 
         return Pools(self.family, admit).upto(self.family.start, max_size)
@@ -728,38 +730,33 @@ class EnumSession:
 # The solve loop
 
 
-@dataclass
-class EnumOptions:
-    max_size: int = 6
-    sb_rewriter: bool = True
-    sb_examples: bool = True
-    trace: Optional[Callable[[str], None]] = None
-    deadline: Optional[float] = None  # time.monotonic() cutoff
-
-
-def solve_enum(p: SynthProblem, family: DatatypeFamily,
-               opts: Optional[EnumOptions] = None
+def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
+               max_size: int = 6, sb_rewriter: bool = True,
+               sb_examples: bool = True,
+               trace: Optional[Callable[[str], None]] = None,
+               deadline: Optional[float] = None
                ) -> tuple[Solution, EnumStats]:
-    """Enumerate candidates until one satisfies the conjecture.
+    """Enumerate candidates of up to ``max_size`` until one satisfies
+    the conjecture. ``sb_rewriter`` and ``sb_examples`` switch the
+    rewriter and the example-signature pruning.
 
     Raises Exhausted when the size cap is reached and TimedOut when
-    ``opts.deadline`` passes.
+    ``deadline`` (a time.monotonic() value) passes.
     """
-    opts = opts or EnumOptions()
     if len(p.functions) != 1:
         raise ValueError("enumeration handles a single function")
     f = p.functions[0]
     points = None
-    if opts.sb_examples:
+    if sb_examples:
         cls = classify(p)
         if isinstance(cls, IOExamples) and cls.points:
             points = [ins for ins, _ in cls.points]
-    session = EnumSession(family, sb_rewriter=opts.sb_rewriter,
-                          points=points, trace=opts.trace)
+    session = EnumSession(family, sb_rewriter=sb_rewriter,
+                          points=points, trace=trace)
     cex: list[dict] = []
     params = f.param_vars()
-    for _, body in session.candidates(opts.max_size, opts.deadline):
-        _check_deadline(opts.deadline, session.stats)
+    for _, body in session.candidates(max_size, deadline):
+        check_deadline(deadline, session.stats)
         sol = {f.name: Lambda(params, body)}
         spec = apply_solution(p, sol)
         ok = True
@@ -777,4 +774,4 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily,
             model.setdefault(u.name, 0 if u.sort == INT else False)
         cex.append({u.name: model[u.name] for u in p.universals})
         session.stats.counterexample_points += 1
-    raise Exhausted(opts.max_size, session.stats)
+    raise Exhausted(max_size, session.stats)

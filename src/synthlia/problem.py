@@ -14,10 +14,10 @@ from .terms import (
     Lambda,
     SortError,
     Term,
-    UFApp,
     Var,
     beta_reduce,
     free_vars,
+    map_uf_apps,
     sort_of,
     uf_names,
     well_sorted,
@@ -186,12 +186,6 @@ class SynthProblem:
                         f"grammar start sort {start_sort} does not match "
                         f"return sort of {f.name}")
 
-    def function(self, name: str) -> SynthFun:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 Solution = dict  # function name -> Lambda
 
@@ -213,13 +207,5 @@ def apply_solution(p: SynthProblem, s: Solution) -> Term:
     """Constraint of ``p`` with every unknown-function application replaced
     by the beta-reduced solution body."""
     check_solution_shape(p, s)
-
-    def rec(t: Term) -> Term:
-        if isinstance(t, UFApp):
-            args = tuple(rec(a) for a in t.args)
-            return beta_reduce(s[t.fname], args)
-        if isinstance(t, App):
-            return App(t.op, tuple(rec(a) for a in t.args))
-        return t
-
-    return rec(p.constraint)
+    return map_uf_apps(p.constraint,
+                       lambda u: beta_reduce(s[u.fname], u.args))

@@ -8,7 +8,9 @@ Fourier-Motzkin elimination with dark-shadow certification and splinter
 enumeration where the shadow is inexact. All arithmetic is exact.
 
 Int-sorted ite is compiled away up front by introducing a fresh variable
-constrained by two guarded equalities.
+constrained by two guarded equalities. Each comparison then becomes the
+atom ``d <= 0`` or ``d = 0`` over the linear form ``rewrite.atom_diff``
+gives it, the same form the rewriter normalizes it to.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .rewrite import atom_diff
 from .terms import (
     BOOL,
+    COMPARISONS,
     INT,
     App,
     BoolConst,
@@ -64,39 +68,6 @@ UNSAT = Unsat()
 
 # A linear expression over integer variables: ({var: coeff}, constant).
 LinExpr = tuple[dict, int]
-
-
-def _lexpr(t: Term) -> LinExpr:
-    if isinstance(t, IntConst):
-        return ({}, t.value)
-    if isinstance(t, Var):
-        return ({t.name: 1}, 0)
-    assert isinstance(t, App)
-    if t.op == "+":
-        coeffs: dict = {}
-        const = 0
-        for a in t.args:
-            c2, k2 = _lexpr(a)
-            const += k2
-            for v, c in c2.items():
-                coeffs[v] = coeffs.get(v, 0) + c
-        return ({v: c for v, c in coeffs.items() if c}, const)
-    if t.op == "*":
-        k = t.args[0]
-        assert isinstance(k, IntConst)
-        coeffs, const = _lexpr(t.args[1])
-        return ({v: c * k.value for v, c in coeffs.items() if c * k.value},
-                const * k.value)
-    raise SortError(f"non-linear term {t.op} reached the arithmetic core")
-
-
-def _sub_expr(a: LinExpr, b: LinExpr) -> LinExpr:
-    coeffs = dict(a[0])
-    for v, c in b[0].items():
-        coeffs[v] = coeffs.get(v, 0) - c
-        if coeffs[v] == 0:
-            del coeffs[v]
-    return (coeffs, a[1] - b[1])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +298,6 @@ def _compile_int_ite(t: Term, defs: list) -> Term:
 class _Atom:
     kind: str          # "le" (expr <= 0), "eq" (expr == 0), "bvar"
     expr: tuple        # frozen LinExpr or variable name
-    index: int
 
 
 class _Checker:
@@ -344,15 +314,8 @@ class _Checker:
         key = (kind, payload)
         if key not in self.atom_ids:
             self.atom_ids[key] = len(self.atoms)
-            self.atoms.append(_Atom(kind, payload, len(self.atoms)))
+            self.atoms.append(_Atom(kind, payload))
         return self.atom_ids[key]
-
-    def _cmp_atom(self, diff: LinExpr, kind: str):
-        coeffs, const = diff
-        if not coeffs:
-            return (const <= 0) if kind == "le" else (const == 0)
-        items = tuple(sorted(coeffs.items()))
-        return self._atom(kind, (items, const))
 
     def _build(self, t: Term):
         if isinstance(t, BoolConst):
@@ -372,23 +335,15 @@ class _Checker:
             c = self._build(t.args[0])
             return ("and", (("or", (_neg(c), self._build(t.args[1]))),
                             ("or", (c, self._build(t.args[2])))))
-        if op in ("<=", "<", ">=", ">"):
-            a, b = _lexpr(t.args[0]), _lexpr(t.args[1])
-            if op == "<=":
-                d = _sub_expr(a, b)
-            elif op == "<":
-                d = _sub_expr(a, b)
-                d = (d[0], d[1] + 1)
-            elif op == ">=":
-                d = _sub_expr(b, a)
-            else:
-                d = _sub_expr(b, a)
-                d = (d[0], d[1] + 1)
-            return self._cmp_atom(d, "le")
+        if op in COMPARISONS or (op == "=" and sort_of(t.args[0]) == INT):
+            const, monos = atom_diff(t)
+            kind = "eq" if op == "=" else "le"
+            if not monos:
+                return const == 0 if kind == "eq" else const <= 0
+            # Int ite is compiled away, so every monomial is a variable.
+            names = tuple((m.name, c) for m, c in monos)
+            return self._atom(kind, (names, const))
         if op == "=":
-            if sort_of(t.args[0]) == INT:
-                return self._cmp_atom(_sub_expr(_lexpr(t.args[0]),
-                                                _lexpr(t.args[1])), "eq")
             x, y = self._build(t.args[0]), self._build(t.args[1])
             return ("and", (("or", (_neg(x), y)), ("or", (x, _neg(y)))))
         raise SortError(f"unexpected operator {op!r}")

@@ -19,6 +19,7 @@ from typing import Optional
 
 from .terms import (
     BOOL,
+    COMPARISONS,
     FALSE,
     INT,
     TRUE,
@@ -118,6 +119,23 @@ def _diff(a: Term, b: Term) -> Linear:
     return _lin_add(_lin(a), _lin(b), -1)
 
 
+def atom_diff(t: App) -> Linear:
+    """The linear form ``d`` of a comparison: ``t`` holds exactly when
+    ``d <= 0`` for ``<=``, ``<``, ``>=`` and ``>``, and when ``d = 0``
+    for an Int ``=``. The one place that maps comparisons to linear
+    forms, for the rewriter and the QF solver alike."""
+    a, b = t.args
+    if t.op in ("<=", "="):
+        return _diff(a, b)
+    if t.op == ">=":
+        return _diff(b, a)
+    if t.op == "<":
+        return _lin_add(_diff(a, b), (1, ()))
+    if t.op == ">":
+        return _lin_add(_diff(b, a), (1, ()))
+    raise SortError(f"{t.op!r} is not a comparison")
+
+
 def unit_bound(atom: Term, k: Var) -> Optional[tuple[str, Term]]:
     """The bound a comparison ``<=`` or ``=`` places on ``k`` when it is
     linear in ``k`` with a unit coefficient: ("upper" | "lower" | "eq",
@@ -125,7 +143,7 @@ def unit_bound(atom: Term, k: Var) -> Optional[tuple[str, Term]]:
     if not (isinstance(atom, App) and atom.op in ("<=", "=")):
         return None
     try:
-        const, monos = _diff(atom.args[0], atom.args[1])
+        const, monos = atom_diff(atom)
     except SortError:
         return None
     rest = dict(monos)
@@ -140,29 +158,31 @@ def unit_bound(atom: Term, k: Var) -> Optional[tuple[str, Term]]:
     return ("upper", t) if c > 0 else ("lower", t)
 
 
+def _sides(const: int, monos) -> tuple[Term, Term]:
+    """``const + monos`` split into the sides of ``lhs - rhs``, each
+    with nonnegative coefficients."""
+    pos = [(m, c) for m, c in monos if c > 0]
+    neg = [(m, -c) for m, c in monos if c < 0]
+    return (_lin_to_term((const if const > 0 else 0, tuple(pos))),
+            _lin_to_term((-const if const < 0 else 0, tuple(neg))))
+
+
 def _le_atom(diff: Linear) -> Term:
     """Canonical atom for ``diff <= 0``."""
     const, monos = diff
     if not monos:
         return TRUE if const <= 0 else FALSE
-    pos = [(m, c) for m, c in monos if c > 0]
-    neg = [(m, -c) for m, c in monos if c < 0]
-    lhs = _lin_to_term((const if const > 0 else 0, tuple(pos)))
-    rhs = _lin_to_term((-const if const < 0 else 0, tuple(neg)))
-    return App("<=", (lhs, rhs))
+    return App("<=", _sides(const, monos))
 
 
 def _eq_atom(diff: Linear) -> Term:
+    """Canonical atom for ``diff = 0``, its first coefficient positive."""
     const, monos = diff
     if not monos:
         return TRUE if const == 0 else FALSE
     if monos[0][1] < 0:
         const, monos = -const, tuple((m, -c) for m, c in monos)
-    pos = [(m, c) for m, c in monos if c > 0]
-    neg = [(m, -c) for m, c in monos if c < 0]
-    lhs = _lin_to_term((const if const > 0 else 0, tuple(pos)))
-    rhs = _lin_to_term((-const if const < 0 else 0, tuple(neg)))
-    return App("=", (lhs, rhs))
+    return App("=", _sides(const, monos))
 
 
 def negate_norm(t: Term) -> Term:
@@ -173,10 +193,8 @@ def negate_norm(t: Term) -> Term:
         if t.op == "not":
             return t.args[0]
         if t.op == "<=":
-            # not(L <= R)  <=>  R + 1 <= L   (integers)
-            d = _lin_add(_lin_add(_ZERO, _diff(t.args[0], t.args[1]), -1),
-                         (1, ()))
-            return _le_atom(d)
+            # not(d <= 0)  <=>  1 - d <= 0   (integers)
+            return _le_atom(_lin_add((1, ()), atom_diff(t), -1))
     return App("not", (t,))
 
 
@@ -219,17 +237,11 @@ def normalize(t: Term) -> Term:
     op = t.op
     if op in ("+", "*"):
         return _lin_to_term(_lin(t))
-    if op == "<=":
-        return _le_atom(_diff(t.args[0], t.args[1]))
-    if op == "<":
-        return _le_atom(_lin_add(_diff(t.args[0], t.args[1]), (1, ())))
-    if op == ">=":
-        return _le_atom(_diff(t.args[1], t.args[0]))
-    if op == ">":
-        return _le_atom(_lin_add(_diff(t.args[1], t.args[0]), (1, ())))
+    if op in COMPARISONS:
+        return _le_atom(atom_diff(t))
     if op == "=":
         if sort_of(t.args[0]) == INT:
-            return _eq_atom(_diff(t.args[0], t.args[1]))
+            return _eq_atom(atom_diff(t))
         a, b = normalize(t.args[0]), normalize(t.args[1])
         if isinstance(a, BoolConst):
             return b if a.value else normalize(App("not", (b,)))

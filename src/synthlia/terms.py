@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 INT = "Int"
 BOOL = "Bool"
@@ -347,6 +347,17 @@ def uf_names(t: Term) -> set[str]:
 
 def uf_apps(t: Term) -> list[UFApp]:
     return [s for s in subterms(t) if isinstance(s, UFApp)]
+
+
+def map_uf_apps(t: Term, fn: Callable[[UFApp], Term]) -> Term:
+    """``t`` with every unknown-function application ``u`` replaced by
+    ``fn(u)``, innermost first: ``u``'s arguments are already replaced."""
+    if isinstance(t, UFApp):
+        return fn(UFApp(t.fname, t.fsort,
+                        tuple(map_uf_apps(a, fn) for a in t.args)))
+    if isinstance(t, App):
+        return App(t.op, tuple(map_uf_apps(a, fn) for a in t.args))
+    return t
 
 
 def substitute(t: Term, m: Mapping[str, Term]) -> Term:

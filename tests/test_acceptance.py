@@ -55,7 +55,8 @@ def test_criterion_1_between_via_cegqi(capsys):
     t0 = time.monotonic()
     p = load_golden("between.sy")
     fo = to_first_order(p)
-    res, iters = solve_cegqi(fo)
+    res = solve_cegqi(fo)
+    iters = len(res.trace.instances)
     sol = extract_solution(res.trace, p, fo)
     want = ite(le(x, add(y, IntConst(1))),
                add(x, IntConst(1)), add(y, IntConst(1)))
@@ -71,7 +72,8 @@ def test_criterion_2_io_points_trivial_solution(capsys):
     t0 = time.monotonic()
     p = load_golden("successor_points.sy")
     fo = to_first_order(p)
-    res, iters = solve_cegqi(fo)
+    res = solve_cegqi(fo)
+    iters = len(res.trace.instances)
     sol = extract_solution(res.trace, p, fo)
     body = sol["f"].body
     values = [evaluate(body, {"x": v}) for v in (1, 2, 7)]

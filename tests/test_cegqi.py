@@ -47,9 +47,9 @@ x, y = ivar("x"), ivar("y")
 def test_between_solved_in_two_iterations():
     p = load_golden("between.sy")
     fo = to_first_order(p)
-    res, iters = solve_cegqi(fo)
+    res = solve_cegqi(fo)
     assert isinstance(res, Solved)
-    assert iters == 2
+    assert len(res.trace.instances) == 2
     keys = [canonical_key(t[0]) for t in res.trace.instances]
     assert keys == [canonical_key(add(x, IntConst(1))),
                     canonical_key(add(y, IntConst(1)))]
@@ -63,9 +63,9 @@ def test_between_solved_in_two_iterations():
 def test_io_points_trivial_solution_table():
     p = load_golden("successor_points.sy")
     fo = to_first_order(p)
-    res, iters = solve_cegqi(fo)
+    res = solve_cegqi(fo)
     assert isinstance(res, Solved)
-    assert iters == 3
+    assert len(res.trace.instances) == 3
     # The instances are the constant outputs, tried in point order.
     vals = [t[0] for t in res.trace.instances]
     assert vals == [IntConst(2), IntConst(3), IntConst(8)]
@@ -78,7 +78,7 @@ def test_io_points_trivial_solution_table():
 def test_max_aux_roundtrip():
     p = to_single_invocation(load_golden("max_aux.sy"))
     fo = to_first_order(p)
-    res, _ = solve_cegqi(fo)
+    res = solve_cegqi(fo)
     assert isinstance(res, Solved)
     sol = extract_solution(res.trace, p, fo)
     body = sol["f"].body
@@ -93,17 +93,17 @@ def test_infeasible_conjecture():
         universals=(x,),
         constraint=and_(gt(UFApp("f", f.fsort, (x,)), x),
                         lt(UFApp("f", f.fsort, (x,)), x)))
-    res, _ = solve_cegqi(to_first_order(p))
+    res = solve_cegqi(to_first_order(p))
     assert isinstance(res, GaveUp)
     assert res.reason == "infeasible"
 
 
 def test_iteration_cap():
     p = load_golden("between.sy")
-    res, iters = solve_cegqi(to_first_order(p), max_iters=0)
+    res = solve_cegqi(to_first_order(p), max_iters=0)
     assert isinstance(res, GaveUp)
     assert res.reason == "iteration-cap"
-    assert iters == 0
+    assert len(res.trace.instances) == 0
 
 
 def test_select_terms_prefers_satisfied_bounds():
@@ -142,7 +142,7 @@ def test_select_terms_fills_later_bool_variables_with_bool_constants():
 def test_extract_solution_needs_instances():
     p = load_golden("between.sy")
     fo = to_first_order(p)
-    res, _ = solve_cegqi(fo, max_iters=0)
+    res = solve_cegqi(fo, max_iters=0)
     with pytest.raises(ValueError):
         extract_solution(res.trace, p, fo)
 
@@ -163,8 +163,8 @@ def test_random_single_invocation_soundness():
     for _ in range(100):
         p = random_si_problem(rng)
         fo = to_first_order(p)
-        res, iters = solve_cegqi(fo, max_iters=16)
-        assert iters <= 16
+        res = solve_cegqi(fo, max_iters=16)
+        assert len(res.trace.instances) <= 16
         if isinstance(res, Solved):
             sol = extract_solution(res.trace, p, fo)
             assert check_valid(apply_solution(p, sol))
@@ -179,7 +179,7 @@ def test_instances_are_distinct():
     rng = random.Random(5)
     for _ in range(30):
         p = random_si_problem(rng)
-        res, _ = solve_cegqi(to_first_order(p), max_iters=16)
+        res = solve_cegqi(to_first_order(p), max_iters=16)
         keys = [tuple(canonical_key(t) for t in inst)
                 for inst in res.trace.instances]
         assert len(keys) == len(set(keys))

@@ -8,7 +8,6 @@ from synthlia.enumsearch import (
     Datatype,
     DatatypeFamily,
     DtValue,
-    EnumOptions,
     EnumSession,
     Exhausted,
     PatternIndex,
@@ -432,7 +431,7 @@ def test_solve_enum_symmetric_max():
 def test_solve_enum_exhausts_at_small_caps():
     p = load_golden("max_sym.sy")
     with pytest.raises(Exhausted) as exc:
-        solve_enum(p, nsi_family(), EnumOptions(max_size=0))
+        solve_enum(p, nsi_family(), max_size=0)
     assert exc.value.stats.enumerated > 0
 
 
@@ -447,8 +446,7 @@ def test_solve_enum_with_io_points():
 
 def test_solve_enum_without_symmetry_breaking_still_solves():
     p = load_golden("max_sym.sy")
-    sol, stats = solve_enum(p, nsi_family(),
-                            EnumOptions(sb_rewriter=False,
-                                        sb_examples=False))
+    sol, stats = solve_enum(p, nsi_family(), sb_rewriter=False,
+                            sb_examples=False)
     assert are_equivalent(sol["f"].body, ite(le(y, x), x, y))
     assert stats.pruned_rewriter == 0 and stats.pruned_signature == 0

@@ -204,6 +204,17 @@ def test_timeout_is_honoured_inside_a_pool_level():
     assert out.stats["enumerated"] > 0
 
 
+def test_timeout_is_honoured_by_the_cegqi_loop():
+    out = solve(load_golden("between.sy"), SolverConfig(timeout=1e-9))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "timeout(1e-09s)"
+
+
+def test_unknown_mode_is_rejected():
+    with pytest.raises(ValueError, match="cegqii"):
+        solve(load_golden("between.sy"), SolverConfig(mode="cegqii"))
+
+
 def test_verify_solution_rejects_wrong_and_ungenerable():
     p = load_golden("between.sy")
     assert not verify_solution(p, {"f": Lambda((x, y), x)})
@@ -232,6 +243,15 @@ def test_cli_stats_on_stderr(capsys):
     assert "strategy=enum" in captured.err
     assert "enumerated=" in captured.err
     assert "wall_time=" in captured.err
+
+
+def test_cli_trace_on_stderr(capsys):
+    rc = cli_main([str(GOLDEN / "max_sym.sy"), "--trace"])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 0
+    assert any(s.startswith("trace: route enum") for s in lines)
+    assert any(s.startswith(("trace: blocked ", "trace: pruned-rewriter "))
+               for s in lines)
 
 
 def test_cli_gave_up_exit_code(capsys):

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from synthlia.rewrite import canonical_key, negate_norm, normalize, serialize
+from synthlia.rewrite import (
+    atom_diff,
+    canonical_key,
+    negate_norm,
+    normalize,
+    serialize,
+)
 from synthlia.terms import (
     App,
     BoolConst,
@@ -26,7 +32,7 @@ from synthlia.terms import (
     sub,
 )
 
-from helpers import random_env, random_term
+from helpers import random_env, random_int_term, random_term
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 
@@ -67,6 +73,22 @@ def test_comparisons_collapse_to_le_and_eq():
     assert canonical_key(eq(x, y)) == canonical_key(eq(y, x))
     assert normalize(le(x, x)) == BoolConst(True)
     assert normalize(lt(x, x)) == BoolConst(False)
+
+
+def test_atom_diff_is_the_linear_form_of_a_comparison():
+    # t holds exactly when d <= 0 (d = 0 for Int =). Points are drawn
+    # from a small box so that the two sides are often equal, where a
+    # strict comparison differs from its non-strict one.
+    rng = random.Random(17)
+    for _ in range(300):
+        op = rng.choice(["<=", "<", ">=", ">", "="])
+        t = App(op, (random_int_term(rng, 2), random_int_term(rng, 2)))
+        const, monos = atom_diff(t)
+        for _ in range(10):
+            env = random_env(rng, -3, 3)
+            d = const + sum(c * evaluate(m, env) for m, c in monos)
+            want = d == 0 if op == "=" else d <= 0
+            assert evaluate(t, env) == want, serialize(t)
 
 
 def test_junction_flattening_and_dedup():

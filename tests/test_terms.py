@@ -27,6 +27,7 @@ from synthlia.terms import (
     ite,
     ivar,
     le,
+    map_uf_apps,
     mul,
     neg,
     or_,
@@ -125,6 +126,14 @@ def test_uf_apps_collects_occurrences():
     f = FunSort((INT,), INT)
     t = and_(eq(UFApp("f", f, (x,)), y), le(UFApp("f", f, (y,)), x))
     assert len(uf_apps(t)) == 2
+
+
+def test_map_uf_apps_replaces_innermost_first():
+    f = FunSort((INT,), INT)
+    t = le(UFApp("f", f, (UFApp("f", f, (x,)),)), y)
+    # f(u) -> u + 1, so f(f(x)) becomes (x + 1) + 1.
+    got = map_uf_apps(t, lambda u: add(u.args[0], IntConst(1)))
+    assert got == le(add(add(x, IntConst(1)), IntConst(1)), y)
 
 
 def test_fresh_name_is_reserved_and_avoids():
