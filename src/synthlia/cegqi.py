@@ -155,22 +155,21 @@ def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64,
 
 def _cegqi_loop(fo: FirstOrderForm, instances, max_iters, deadline):
     kvars = fo.instvars
-    gamma: list[Term] = []
+    pos_body = normalize(fo.pos_body)
+    gamma: list[Term] = []  # the normalized instances
     while True:
         check_deadline(deadline)
-        core = check_sat(and_(*[normalize(g) for g in gamma])) if gamma \
-            else Sat({})
+        core = check_sat(and_(*gamma)) if gamma else Sat({})
         if isinstance(core, Unsat):
             return Solved(InstanceTrace(tuple(instances)))
-        full = check_sat(and_(*([normalize(g) for g in gamma]
-                                + [normalize(fo.pos_body)])))
+        full = check_sat(and_(*gamma, pos_body))
         if isinstance(full, Unsat):
             return GaveUp("infeasible", InstanceTrace(tuple(instances)))
         if len(instances) >= max_iters:
             return GaveUp("iteration-cap", InstanceTrace(tuple(instances)))
         terms = select_terms(full.model, kvars, fo.pos_body)
         instances.append(terms)
-        gamma.append(_subst_k(fo.body, kvars, terms))
+        gamma.append(normalize(_subst_k(fo.body, kvars, terms)))
 
 
 def extract_solution(trace: InstanceTrace, p: SynthProblem,

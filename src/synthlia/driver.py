@@ -142,10 +142,10 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
                               if cfg.timeout is not None else None)
             out = _run_cegqi(p, q, cls, cfg, stats, has_grammar,
                              deadline, recon_deadline)
-            if out is not None:
+            if isinstance(out, Success):
                 return finish(out)
             if route == "cegqi":
-                return finish(GaveUp("cegqi-failed", stats))
+                return finish(GaveUp(f"cegqi-failed({out})", stats))
             _trace(cfg, "portfolio: falling back to enumeration")
         return finish(_run_enum(p, q, cfg, stats, deadline))
     except Exhausted as e:
@@ -162,17 +162,17 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
 def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
                cfg: SolverConfig, stats: dict, reconstruct_after: bool,
                deadline: Optional[float],
-               recon_deadline: Optional[float]) -> Optional[Success]:
-    """The CEGQI route, or None to fall back. A timeout of the
+               recon_deadline: Optional[float]) -> Union[Success, str]:
+    """The CEGQI route, or the reason to fall back. A timeout of the
     instantiation loop propagates; one of reconstruction falls back."""
     if isinstance(cls, NonSingleInvocation):
-        return None
+        return "not-single-invocation"
     fo = to_first_order(q)
     res = solve_cegqi(fo, max_iters=cfg.max_iters, deadline=deadline)
     stats["cegqi_iterations"] = len(res.trace.instances)
     if isinstance(res, CegqiGaveUp):
         _trace(cfg, f"cegqi gave up: {res.reason}")
-        return None
+        return res.reason
     sol = extract_solution(res.trace, q, fo)
     strategy = "cegqi"
     if reconstruct_after:
@@ -190,10 +190,10 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
             strategy = "cegqi+reconstruction"
         except (ReconstructionFailure, ResourceLimit, TimedOut):
             _trace(cfg, "reconstruction failed within budget")
-            return None
+            return "reconstruction-failed"
     if cfg.verify and not verify_solution(orig, sol):
         _trace(cfg, "cegqi solution failed verification")
-        return None
+        return "verification-failed"
     return Success(sol, strategy, stats)
 
 

@@ -1,11 +1,18 @@
 """Exact satisfiability for quantifier-free LIA+Bool ground formulas.
 
 Architecture: boolean search over the atom skeleton (atoms branched in
-creation order, false branch first), with an exact integer feasibility
+creation order, true branch first), with an exact integer feasibility
 check per satisfying conjunction of literals. Integer feasibility is the
 omega test: equality elimination with the symmetric-modulus trick, then
 Fourier-Motzkin elimination with dark-shadow certification and splinter
 enumeration where the shadow is inexact. All arithmetic is exact.
+
+Disequalities (false Int ``=`` literals) are split on demand (Barrett,
+Nieuwenhuis, Oliveras, Tinelli, "Splitting on Demand in SAT Modulo
+Theories", LPAR 2006): the equalities and inequalities are solved
+first, and only a disequality ``e != 0`` that the model violates is
+split, into ``e >= 1`` and then ``-e >= 1``. An infeasible relaxation
+refutes the whole conjunction.
 
 Int-sorted ite is compiled away up front by introducing a fresh variable
 constrained by two guarded equalities. Each comparison then becomes the
@@ -195,17 +202,27 @@ class _Omega:
         ineqs = tight
         if not ineqs:
             return {}
-        all_vars = sorted({v for c, _ in ineqs for v in c})
-        if not all_vars:
-            return {}
-        # Prefer a variable whose elimination is exact, then few pairs.
-        def rank(v):
-            lows = [c[v] for c, _ in ineqs if c.get(v, 0) > 0]
-            ups = [-c[v] for c, _ in ineqs if c.get(v, 0) < 0]
-            exact = all(c == 1 for c in lows) or all(c == 1 for c in ups)
-            return (not exact, len(lows) * len(ups), v)
+        # Prefer a variable whose elimination is exact, then few pairs:
+        # per variable, its lower and upper bound counts and whether
+        # all of either side have unit coefficients, in one pass.
+        counts: dict[str, list] = {}
+        for coeffs, _ in ineqs:
+            for v, c in coeffs.items():
+                k = counts.get(v)
+                if k is None:
+                    k = counts[v] = [0, 0, True, True]
+                if c > 0:
+                    k[0] += 1
+                    k[2] = k[2] and c == 1
+                elif c < 0:
+                    k[1] += 1
+                    k[3] = k[3] and c == -1
 
-        var = min(all_vars, key=rank)
+        def rank(v):
+            lows, ups, unit_lows, unit_ups = counts[v]
+            return (not (unit_lows or unit_ups), lows * ups, v)
+
+        var = min(counts, key=rank)
         lowers = []   # (a, rest): a*var + rest >= 0, a > 0  ->  var >= -rest/a
         uppers = []   # (b, rest): -b*var + rest >= 0, b > 0 ->  var <= rest/b
         rest_cs = []
@@ -358,35 +375,33 @@ class _Checker:
         return Sat(model)
 
     def _simplify(self, node, lits):
+        """``node`` under ``lits``, and the smallest atom left in the
+        result (None when the result is a constant)."""
         if isinstance(node, bool):
-            return node
+            return node, None
         if isinstance(node, int):
-            return lits.get(node, node)
+            val = lits.get(node)
+            return (node, node) if val is None else (val, None)
         op, parts = node
         if op == "not":
-            s = self._simplify(parts, lits)
-            return _neg(s)
+            s, first = self._simplify(parts, lits)
+            return _neg(s), first
         out = []
+        first = None
         for p in parts:
-            s = self._simplify(p, lits)
-            if isinstance(s, bool):
+            s, a = self._simplify(p, lits)
+            if a is None:
                 if (s and op == "or") or (not s and op == "and"):
-                    return s
+                    return s, None
                 continue
             out.append(s)
+            if first is None or a < first:
+                first = a
         if not out:
-            return op == "and"
+            return op == "and", None
         if len(out) == 1:
-            return out[0]
-        return (op, tuple(out))
-
-    def _first_atom(self, node) -> int:
-        if isinstance(node, int):
-            return node
-        op, parts = node
-        if op == "not":
-            return self._first_atom(parts)
-        return min(self._first_atom(p) for p in parts)
+            return out[0], first
+        return (op, tuple(out)), first
 
     def _charge(self, n: int) -> None:
         self.budget -= n
@@ -395,12 +410,11 @@ class _Checker:
 
     def _dpll(self, node, lits) -> Optional[Assignment]:
         self._charge(1)
-        node = self._simplify(node, lits)
+        node, a = self._simplify(node, lits)
         if node is False:
             return None
         if node is True:
             return self._theory_model(lits)
-        a = self._first_atom(node)
         for val in (True, False):
             lits[a] = val
             m = self._dpll(node, lits)
@@ -434,18 +448,23 @@ class _Checker:
         return self._with_diseqs(eqs, ineqs, diseqs, bools)
 
     def _with_diseqs(self, eqs, ineqs, diseqs, bools) -> Optional[Assignment]:
-        if not diseqs:
-            self._charge(50)
-            m = _Omega().solve(eqs, ineqs)
-            if m is None:
-                return None
+        # Split on demand: solve without the disequalities, then split
+        # only the first one the model violates. A relaxation with no
+        # model refutes the whole conjunction.
+        self._charge(50)
+        m = _Omega().solve(eqs, ineqs)
+        if m is None:
+            return None
+        i = next((i for i, e in enumerate(diseqs) if _eval_expr(e, m) == 0),
+                 None)
+        if i is None:
             out: Assignment = dict(bools)
             for v, x in m.items():
                 # omega!/ite! variables are solver-internal
                 if not v.startswith("omega!") and not v.startswith("ite!"):
                     out[v] = x
             return out
-        head, rest = diseqs[0], diseqs[1:]
+        head, rest = diseqs[i], diseqs[:i] + diseqs[i + 1:]
         for branch in ((head[0], head[1] - 1),                       # e >= 1
                        ({v: -c for v, c in head[0].items()},
                         -head[1] - 1)):                              # -e >= 1

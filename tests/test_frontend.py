@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from synthlia.cli import main as cli_main
 from synthlia.driver import GaveUp, SolverConfig, Success, solve, \
     verify_solution
+from synthlia.problem import apply_solution
 from synthlia.rewrite import canonical_key
 from synthlia.sygus import (
     ParseError,
@@ -17,6 +19,7 @@ from synthlia.terms import (
     IntConst,
     Lambda,
     add,
+    evaluate,
     ge,
     gt,
     ite,
@@ -213,6 +216,63 @@ def test_timeout_is_honoured_by_the_cegqi_loop():
 def test_unknown_mode_is_rejected():
     with pytest.raises(ValueError, match="cegqii"):
         solve(load_golden("between.sy"), SolverConfig(mode="cegqii"))
+
+
+def test_cegqi_give_up_keeps_the_loop_reason():
+    # between.sy takes two instances; a cap of one stops the loop.
+    out = solve(load_golden("between.sy"),
+                SolverConfig(mode="cegqi", max_iters=1))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "cegqi-failed(iteration-cap)"
+
+
+MAX5 = """
+    (set-logic LIA)
+    (synth-fun f ((a Int) (b Int) (c Int) (d Int) (e Int)) Int)
+    (declare-var a Int)
+    (declare-var b Int)
+    (declare-var c Int)
+    (declare-var d Int)
+    (declare-var e Int)
+    (constraint (>= (f a b c d e) a))
+    (constraint (>= (f a b c d e) b))
+    (constraint (>= (f a b c d e) c))
+    (constraint (>= (f a b c d e) d))
+    (constraint (>= (f a b c d e) e))
+    (constraint (or (= (f a b c d e) a) (= (f a b c d e) b)
+                    (= (f a b c d e) c) (= (f a b c d e) d)
+                    (= (f a b c d e) e)))
+    (check-synth)"""
+
+TABLE6 = """
+    (set-logic LIA)
+    (synth-fun f ((x Int) (y Int)) Int)
+    (declare-var x Int)
+    (declare-var y Int)
+    (constraint (=> (and (= x (- 6)) (= y 3)) (= (f x y) 6)))
+    (constraint (=> (and (= x (- 5)) (= y (- 2))) (= (f x y) (- 3))))
+    (constraint (=> (and (= x (- 2)) (= y 2)) (= (f x y) 2)))
+    (constraint (=> (and (= x 2) (= y (- 7))) (= (f x y) (- 2))))
+    (constraint (=> (and (= x 5) (= y (- 4))) (= (f x y) 5)))
+    (constraint (=> (and (= x 8) (= y 4)) (= (f x y) (- 4))))
+    (check-synth)"""
+
+
+@pytest.mark.parametrize("text,values", [
+    (MAX5, range(-2, 3)),      # max over 5 arguments
+    (TABLE6, range(-9, 10)),   # 6 example points over 2 arguments
+], ids=["max5", "table6"])
+def test_cegqi_solves_past_the_old_failure_boundary(text, values):
+    # Splitting every disequality up front, one check_sat call of the
+    # CEGQI loop ran out of its step budget on both (resource-limit).
+    p = parse_problem(text)
+    out = solve(p, SolverConfig())
+    assert isinstance(out, Success), getattr(out, "reason", None)
+    assert out.strategy == "cegqi"
+    spec = apply_solution(p, out.solution)
+    names = [u.name for u in p.universals]
+    for point in itertools.product(values, repeat=len(names)):
+        assert evaluate(spec, dict(zip(names, point))), point
 
 
 def test_verify_solution_rejects_wrong_and_ungenerable():
