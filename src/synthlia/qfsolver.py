@@ -14,10 +14,12 @@ first, and only a disequality ``e != 0`` that the model violates is
 split, into ``e >= 1`` and then ``-e >= 1``. An infeasible relaxation
 refutes the whole conjunction.
 
-Int-sorted ite is compiled away up front by introducing a fresh variable
-constrained by two guarded equalities. Each comparison then becomes the
-atom ``d <= 0`` or ``d = 0`` over the linear form ``rewrite.atom_diff``
-gives it, the same form the rewriter normalizes it to.
+Int-sorted ite is lifted into the boolean skeleton: a comparison ``A``
+that holds ``ite(c, a, b)`` is read as the boolean ``ite(c, A[a], A[b])``
+at the cost of one propositional step. So every atom is over the
+formula's own variables: ``d <= 0`` or ``d = 0`` over the linear form
+``rewrite.atom_diff`` gives the comparison, the same form the rewriter
+normalizes it to.
 """
 
 from __future__ import annotations
@@ -33,15 +35,12 @@ from .terms import (
     INT,
     App,
     BoolConst,
-    IntConst,
     SortError,
     Term,
     Var,
-    and_,
     eq,
     fresh_name,
     free_vars,
-    implies,
     not_,
     sort_of,
     uf_names,
@@ -295,20 +294,20 @@ class _Omega:
 # Boolean layer
 
 
-def _compile_int_ite(t: Term, defs: list) -> Term:
-    """Replace Int-sorted ite nodes by fresh variables with guarded
-    equalities collected in ``defs``."""
-    if isinstance(t, (IntConst, BoolConst, Var)):
-        return t
-    assert isinstance(t, App)
-    args = tuple(_compile_int_ite(a, defs) for a in t.args)
-    t2 = App(t.op, args)
-    if t.op == "ite" and sort_of(t) == INT:
-        v = Var(fresh_name("ite"), INT)
-        defs.append(implies(args[0], eq(v, args[1])))
-        defs.append(implies(not_(args[0]), eq(v, args[2])))
-        return v
-    return t2
+def _lift_ite(t: App) -> Optional[tuple]:
+    """``(c, t[a], t[b])`` for the first Int ``ite(c, a, b)`` on the
+    arithmetic spine of ``t`` (reached through ``+`` and ``*`` alone),
+    with that occurrence replaced by each branch; None if there is none."""
+    for i, a in enumerate(t.args):
+        if not isinstance(a, App):
+            continue
+        split = a.args if a.op == "ite" else _lift_ite(a)
+        if split is not None:
+            c, x, y = split
+            head, tail = t.args[:i], t.args[i + 1:]
+            return (c, App(t.op, head + (x,) + tail),
+                    App(t.op, head + (y,) + tail))
+    return None
 
 
 @dataclass(frozen=True)
@@ -322,9 +321,7 @@ class _Checker:
         self.budget = STEP_BUDGET
         self.atoms: list[_Atom] = []
         self.atom_ids: dict = {}
-        defs: list = []
-        body = _compile_int_ite(f, defs)
-        self.root = self._build(and_(body, *defs))
+        self.root = self._build(f)
 
     # boolean AST: True/False, int atom index, ("not", n), ("and"/"or", tuple)
     def _atom(self, kind: str, payload) -> int:
@@ -353,11 +350,15 @@ class _Checker:
             return ("and", (("or", (_neg(c), self._build(t.args[1]))),
                             ("or", (c, self._build(t.args[2])))))
         if op in COMPARISONS or (op == "=" and sort_of(t.args[0]) == INT):
+            lifted = _lift_ite(t)
+            if lifted is not None:
+                self._charge(1)
+                return self._build(App("ite", lifted))
             const, monos = atom_diff(t)
             kind = "eq" if op == "=" else "le"
             if not monos:
                 return const == 0 if kind == "eq" else const <= 0
-            # Int ite is compiled away, so every monomial is a variable.
+            # Int ite is lifted, so every monomial is a variable.
             names = tuple((m.name, c) for m, c in monos)
             return self._atom(kind, (names, const))
         if op == "=":
@@ -460,8 +461,8 @@ class _Checker:
         if i is None:
             out: Assignment = dict(bools)
             for v, x in m.items():
-                # omega!/ite! variables are solver-internal
-                if not v.startswith("omega!") and not v.startswith("ite!"):
+                # omega! variables are solver-internal
+                if not v.startswith("omega!"):
                     out[v] = x
             return out
         head, rest = diseqs[i], diseqs[:i] + diseqs[i + 1:]

@@ -33,6 +33,7 @@ from .terms import (
     add,
     free_vars,
     mul,
+    print_term,
     sort_of,
     well_sorted,
 )
@@ -43,25 +44,10 @@ from .terms import (
 Linear = tuple[int, tuple[tuple[Term, int], ...]]
 
 
-def serialize(t: Term) -> str:
-    """Deterministic, injective rendering of a term tree."""
-    if isinstance(t, IntConst):
-        return str(t.value)
-    if isinstance(t, BoolConst):
-        return "true" if t.value else "false"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, UFApp):
-        return "(@{} {})".format(t.fname, " ".join(serialize(a) for a in t.args))
-    if isinstance(t, App):
-        return "({} {})".format(t.op, " ".join(serialize(a) for a in t.args))
-    raise SortError("cannot serialize a lambda")
-
-
 def _mono_key(m: Term) -> tuple:
     if isinstance(m, Var):
         return (0, m.name)
-    return (1, serialize(m))
+    return (1, print_term(m))
 
 
 def _lin_to_term(lin: Linear) -> Term:
@@ -213,10 +199,10 @@ def _norm_junction(op: str, args: tuple[Term, ...]) -> Term:
             flat.append(n)
     seen: dict[str, Term] = {}
     for n in flat:
-        seen.setdefault(serialize(n), n)
+        seen.setdefault(print_term(n), n)
     keys = set(seen)
     for n in seen.values():
-        if serialize(negate_norm(n)) in keys:
+        if print_term(negate_norm(n)) in keys:
             return absorb
     ordered = [seen[k] for k in sorted(seen)]
     if not ordered:
@@ -247,9 +233,9 @@ def normalize(t: Term) -> Term:
             return b if a.value else normalize(App("not", (b,)))
         if isinstance(b, BoolConst):
             return a if b.value else normalize(App("not", (a,)))
-        if serialize(a) == serialize(b):
+        if print_term(a) == print_term(b):
             return TRUE
-        if serialize(a) > serialize(b):
+        if print_term(a) > print_term(b):
             a, b = b, a
         return App("=", (a, b))
     if op == "not":
@@ -266,7 +252,7 @@ def normalize(t: Term) -> Term:
         if isinstance(cond, App) and cond.op == "not":
             cond, then, els = cond.args[0], els, then
         nt_, ne = normalize(then), normalize(els)
-        if serialize(nt_) == serialize(ne):
+        if print_term(nt_) == print_term(ne):
             return nt_
         if sort_of(nt_) == BOOL:
             if nt_ == TRUE and ne == FALSE:
@@ -281,4 +267,4 @@ def canonical_key(t: Term) -> str:
     """Key equal exactly for terms with identical normal forms."""
     if not well_sorted(t):
         raise SortError("canonical_key requires a well-sorted term")
-    return serialize(normalize(t))
+    return print_term(normalize(t))

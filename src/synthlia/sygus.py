@@ -32,6 +32,7 @@ from .terms import (
     Var,
     mul,
     neg,
+    print_term,
     sub,
 )
 
@@ -117,6 +118,8 @@ def _expect_atom(e: SExpr, what: str) -> str:
 
 
 def _check_name(name: str, line: int, col: int) -> str:
+    if name in _RESERVED:
+        raise ParseError(f"{name!r} is a reserved symbol", line, col)
     if "!" in name:
         raise ParseError(f"'!' is reserved in names: {name!r}", line, col)
     if name and (name[0].isdigit() or name[0] == "-"):
@@ -133,6 +136,9 @@ def _parse_sort(e: SExpr) -> str:
 
 _NARY = {"+", "and", "or"}
 _BINARY = {"<=", "<", ">=", ">", "=", "=>"}
+# Operator and constant symbols: a name spelled as one would be read as
+# that operator or constant in a term.
+_RESERVED = _NARY | _BINARY | {"-", "*", "not", "ite", "true", "false"}
 
 
 class _TermParser:
@@ -330,20 +336,6 @@ def parse_problem(text: str) -> SynthProblem:
 
 # ---------------------------------------------------------------------------
 # Printing
-
-
-def print_term(t: Term) -> str:
-    if isinstance(t, IntConst):
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    if isinstance(t, BoolConst):
-        return "true" if t.value else "false"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, UFApp):
-        return "({} {})".format(t.fname,
-                                " ".join(print_term(a) for a in t.args))
-    assert isinstance(t, App)
-    return "({} {})".format(t.op, " ".join(print_term(a) for a in t.args))
 
 
 def print_solution(s: Solution, problem: SynthProblem) -> str:

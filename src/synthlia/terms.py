@@ -314,6 +314,23 @@ def evaluate(t: Term, env: Mapping[str, Value]) -> Value:
 # Structural operations
 
 
+def print_term(t: Term) -> str:
+    """The input format's rendering of a lambda-free term. It is
+    injective, since no name can be an operator symbol, so it also
+    serves as a term's key and its order."""
+    if isinstance(t, IntConst):
+        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
+    if isinstance(t, BoolConst):
+        return "true" if t.value else "false"
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, UFApp):
+        return "({} {})".format(t.fname,
+                                " ".join(print_term(a) for a in t.args))
+    assert isinstance(t, App)
+    return "({} {})".format(t.op, " ".join(print_term(a) for a in t.args))
+
+
 def subterms(t: Term) -> Iterator[Term]:
     yield t
     if isinstance(t, App):

@@ -97,6 +97,30 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("text,where", [
+    ("(set-logic LIA)\n(synth-fun + ((x Int)) Int)\n(declare-var x Int)"
+     "\n(constraint (>= (+ x) x))\n(check-synth)", (2, 12)),
+    ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var and Int)"
+     "\n(constraint (>= (f and) 0))\n(check-synth)", (3, 14)),
+    ("(set-logic LIA)\n(synth-fun f ((ite Int)) Int)\n(declare-var x Int)"
+     "\n(constraint (>= (f x) x))\n(check-synth)", (2, 16)),
+    ("(set-logic LIA)\n(synth-fun f ((x Int)) Int ((true Int))"
+     " ((true Int (x (+ true 1)))))\n(declare-var x Int)"
+     "\n(constraint (>= (f x) x))\n(check-synth)", (2, 30)),
+], ids=["synth-fun", "declare-var", "parameter", "nonterminal"])
+def test_reserved_symbols_are_not_names(text, where, tmp_path, capsys):
+    # Read as a name, (+ x) would be the sum x, and the constraint
+    # would silently stop mentioning the function.
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert "reserved" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == where
+    path = tmp_path / "reserved.sy"
+    path.write_text(text)
+    assert cli_main([str(path)]) == 2
+    assert "reserved" in capsys.readouterr().err
+
+
 def test_parser_rejects_undeclared_nonterminal():
     text = """
     (set-logic LIA)
@@ -273,6 +297,15 @@ def test_cegqi_solves_past_the_old_failure_boundary(text, values):
     names = [u.name for u in p.universals]
     for point in itertools.product(values, repeat=len(names)):
         assert evaluate(spec, dict(zip(names, point))), point
+
+
+@pytest.mark.parametrize("text", [MAX5, TABLE6], ids=["max5", "table6"])
+def test_verify_accepts_cegqi_answers_past_the_old_failure_boundary(text):
+    # With Int ite compiled to fresh variables, the validity check of
+    # the max-over-5 answer ran out of its step budget: resource-limit.
+    out = solve(parse_problem(text), SolverConfig(verify=True))
+    assert isinstance(out, Success), getattr(out, "reason", None)
+    assert out.strategy == "cegqi"
 
 
 def test_verify_solution_rejects_wrong_and_ungenerable():

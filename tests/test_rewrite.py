@@ -7,7 +7,6 @@ from synthlia.rewrite import (
     canonical_key,
     negate_norm,
     normalize,
-    serialize,
 )
 from synthlia.terms import (
     App,
@@ -29,6 +28,7 @@ from synthlia.terms import (
     mul,
     not_,
     or_,
+    print_term as serialize,
     sub,
 )
 
