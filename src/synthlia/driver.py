@@ -1,13 +1,15 @@
 """Strategy dispatch: route each conjecture class to its solver.
 
 Input-output example conjectures with a grammar go to enumeration with
-example-based pruning; single-invocation conjectures without syntactic
-restrictions go to quantifier instantiation; restricted
-single-invocation conjectures get the portfolio (instantiate, then
-reconstruct the solution against the grammar, falling back to
-enumeration); everything else is enumerated, over the default grammar
-when none is given. Non-single-invocation problems are first offered to
-the single-invocation normalizer.
+example-based pruning, and are decided by evaluating each candidate at
+their points, with no solver call; every blocking pattern the
+enumeration uses is learned from a candidate it pruned.
+Single-invocation conjectures without syntactic restrictions go to
+quantifier instantiation; restricted single-invocation conjectures get
+the portfolio (instantiate, then reconstruct the solution against the
+grammar, falling back to enumeration); everything else is enumerated,
+over the default grammar when none is given. Non-single-invocation
+problems are first offered to the single-invocation normalizer.
 """
 
 from __future__ import annotations

@@ -9,13 +9,17 @@ its children's analogs; candidates are simplified and evaluated
 through that term. Duplicate candidates — same simplified analog, or
 same evaluation of the analog on the conjecture's example points — are
 pruned and turned into blocking patterns, the explicit-store
-counterpart of symmetry-breaking clauses. Patterns are generalized by
-replacing subtrees with fresh annotated variables whenever the
-justification for the pruning does not depend on them. The store
-indexes them in a trie per datatype over their sorted (selector path,
-constructor) constraints, so a candidate is checked against the
-patterns its own constructors lead to rather than against every stored
-pattern.
+counterpart of symmetry-breaking clauses. Every pattern is learned
+from such a pruned candidate: it is generalized by replacing subtrees
+with fresh annotated variables whenever the justification for the
+pruning does not depend on them. The store indexes them in a trie per
+datatype over their sorted (selector path, constructor) constraints,
+so a candidate is checked against the patterns its own constructors
+lead to rather than against every stored pattern.
+
+An input-output example conjecture is decided by evaluating each
+candidate at its points, with no solver call; every other conjecture
+by counterexample-guided checks with the QF solver.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ from .terms import (
     INT,
     App,
     BoolConst,
+    EvalError,
     FunSort,
     IntConst,
     Lambda,
     Term,
-    Value,
     Var,
     evaluate,
     free_vars,
@@ -444,9 +448,9 @@ def _analog_with_holes(v: DtValue, analog: Term, family: DatatypeFamily,
 def _justified(v: DtValue, analog: Term, family: DatatypeFamily,
                just: Justification, dropped: set[SelectorPath]) -> bool:
     term, annot = _analog_with_holes(v, analog, family, dropped)
-    fresh = set(annot)
     if isinstance(just, RewriterDup):
         n = normalize(term)
+        fresh = set(annot)
         fv = {w.name for w in free_vars(n)} & fresh
         if not fv:
             return canonical_key(n) == just.key
@@ -455,18 +459,14 @@ def _justified(v: DtValue, analog: Term, family: DatatypeFamily,
         return (isinstance(n, Var) and n.name in fresh
                 and annot[n.name] == v.dtype)
     # Signature justification: the evaluation on every example point
-    # must stay a constant equal to the recorded vector entry.
+    # must equal the recorded vector entry. A hole is an unbound
+    # variable, so an evaluation that reaches one fails.
+    names = [p.name for p in family.params]
     for point, want in zip(just.points, just.vector):
-        env = {p.name: (IntConst(a) if p.sort == INT else BoolConst(a))
-               for p, a in zip(family.params, point)}
-        r = normalize(substitute(term, env))
-        if isinstance(r, IntConst):
-            got: Value = r.value
-        elif isinstance(r, BoolConst):
-            got = r.value
-        else:
-            return False
-        if got != want:
+        try:
+            if evaluate(term, dict(zip(names, point))) != want:
+                return False
+        except EvalError:
             return False
     return True
 
@@ -492,43 +492,6 @@ def generalize_pattern(v: DtValue, analog: Term, family: DatatypeFamily,
         constraints.append((path, node.ctor))
     return BlockingPattern(anchor=v.dtype,
                            constraints=frozenset(constraints))
-
-
-def eager_patterns(family: DatatypeFamily) -> list[BlockingPattern]:
-    """Startup symmetry breaking from static constructor analysis:
-    additive identities and constant ite conditions."""
-    out: list[BlockingPattern] = []
-    for d in family.datatypes:
-        for c in d.constructors:
-            if c.op == "+" and c.arity() == 2:
-                for zpos in (0, 1):
-                    other = c.children[1 - zpos]
-                    if other != d.name:
-                        continue  # collapse would change the datatype
-                    zdt = c.children[zpos]
-                    occ = 1 + sum(1 for ch in c.children[:zpos]
-                                  if ch == zdt)
-                    for zc in family.datatype(zdt).constructors:
-                        if zc.leaf == IntConst(0):
-                            out.append(BlockingPattern(
-                                anchor=d.name,
-                                constraints=frozenset([
-                                    ((), c.name),
-                                    (((zdt, occ),), zc.name)])))
-            if c.op == "ite" and c.arity() == 3:
-                conddt, thendt, elsedt = c.children
-                for cc in family.datatype(conddt).constructors:
-                    if not isinstance(cc.leaf, BoolConst):
-                        continue
-                    branch = thendt if cc.leaf.value else elsedt
-                    if branch != d.name:
-                        continue
-                    out.append(BlockingPattern(
-                        anchor=d.name,
-                        constraints=frozenset([
-                            ((), c.name),
-                            (((conddt, 1),), cc.name)])))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +627,7 @@ class EnumSession:
         self.points = points
         self.trace = trace
         self.stats = EnumStats()
-        self.patterns = PatternIndex(eager_patterns(family))
+        self.patterns = PatternIndex()
         # Per datatype: the canonical keys and the signatures retained.
         self.keys: dict[str, set[str]] = \
             {d.name: set() for d in family.datatypes}
@@ -740,31 +703,35 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
     the conjecture. ``sb_rewriter`` and ``sb_examples`` switch the
     rewriter and the example-signature pruning.
 
+    An input-output example conjecture is decided by evaluating each
+    candidate at its points, with no solver call; every other
+    conjecture by counterexample-guided checks.
+
     Raises Exhausted when the size cap is reached and TimedOut when
     ``deadline`` (a time.monotonic() value) passes.
     """
     if len(p.functions) != 1:
         raise ValueError("enumeration handles a single function")
     f = p.functions[0]
-    points = None
-    if sb_examples:
-        cls = classify(p)
-        if isinstance(cls, IOExamples) and cls.points:
-            points = [ins for ins, _ in cls.points]
+    cls = classify(p)
+    points = want = None
+    if isinstance(cls, IOExamples) and cls.points:
+        points = [ins for ins, _ in cls.points]
+        want = tuple(outs[0] for _, outs in cls.points)
     session = EnumSession(family, sb_rewriter=sb_rewriter,
-                          points=points, trace=trace)
+                          points=points if sb_examples else None,
+                          trace=trace)
     cex: list[dict] = []
     params = f.param_vars()
     for _, body in session.candidates(max_size, deadline):
         check_deadline(deadline, session.stats)
         sol = {f.name: Lambda(params, body)}
+        if points is not None:
+            if signature_of(body, family, points) == want:
+                return sol, session.stats
+            continue
         spec = apply_solution(p, sol)
-        ok = True
-        for env in cex:
-            if not evaluate(spec, env):
-                ok = False
-                break
-        if not ok:
+        if any(not evaluate(spec, env) for env in cex):
             continue
         res = check_sat(normalize(not_(spec)))
         if isinstance(res, Unsat):

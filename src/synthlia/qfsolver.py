@@ -321,6 +321,10 @@ class _Checker:
         self.budget = STEP_BUDGET
         self.atoms: list[_Atom] = []
         self.atom_ids: dict = {}
+        # id(condition) -> (condition, its node): every lift path of an
+        # Int ite repeats its condition object, which is built once. The
+        # entry keeps the object alive, so its id is not reused.
+        self.conds: dict[int, tuple[Term, object]] = {}
         self.root = self._build(f)
 
     # boolean AST: True/False, int atom index, ("not", n), ("and"/"or", tuple)
@@ -346,7 +350,7 @@ class _Checker:
             return ("or", (_neg(self._build(t.args[0])),
                            self._build(t.args[1])))
         if op == "ite":  # boolean ite
-            c = self._build(t.args[0])
+            c = self._cond(t.args[0])
             return ("and", (("or", (_neg(c), self._build(t.args[1]))),
                             ("or", (c, self._build(t.args[2])))))
         if op in COMPARISONS or (op == "=" and sort_of(t.args[0]) == INT):
@@ -365,6 +369,12 @@ class _Checker:
             x, y = self._build(t.args[0]), self._build(t.args[1])
             return ("and", (("or", (_neg(x), y)), ("or", (x, _neg(y)))))
         raise SortError(f"unexpected operator {op!r}")
+
+    def _cond(self, t: Term):
+        got = self.conds.get(id(t))
+        if got is None:
+            got = self.conds[id(t)] = (t, self._build(t))
+        return got[1]
 
     # -- search ------------------------------------------------------------
 

@@ -16,6 +16,7 @@ by a production list::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -139,6 +140,9 @@ _BINARY = {"<=", "<", ">=", ">", "=", "=>"}
 # Operator and constant symbols: a name spelled as one would be read as
 # that operator or constant in a term.
 _RESERVED = _NARY | _BINARY | {"-", "*", "not", "ite", "true", "false"}
+# ASCII digits only: str.isdigit also accepts superscripts and other
+# scripts' digits, and int() reads some of those.
+_NUMERAL = re.compile(r"-?[0-9]+")
 
 
 class _TermParser:
@@ -154,7 +158,7 @@ class _TermParser:
                 return BoolConst(True)
             if t == "false":
                 return BoolConst(False)
-            if t.lstrip("-").isdigit():
+            if _NUMERAL.fullmatch(t):
                 return IntConst(int(t))
             if t in self.scope:
                 return self.scope[t]

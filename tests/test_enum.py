@@ -16,7 +16,6 @@ from synthlia.enumsearch import (
     SignatureDup,
     TimedOut,
     default_grammar,
-    eager_patterns,
     generalize_pattern,
     grammar_to_datatypes,
     pattern_matches,
@@ -240,14 +239,17 @@ def test_signature_generalization_drops_only_the_else_branch():
     assert ((("I", 1),), "x") in p.constraints
 
 
-def test_eager_patterns_include_plus_zero():
+def test_session_learns_plus_zero_from_the_first_pruned_candidate():
     fam = io_family()
-    pats = eager_patterns(fam)
-    assert any(pattern_matches(p, plus_x_zero()) for p in pats)
-    ite_const = DtValue("I", "if", (
-        DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
-        DtValue("I", "x"), DtValue("I", "y")))
-    assert not any(pattern_matches(p, ite_const) for p in pats)
+    session = EnumSession(fam)
+    u = DtValue("I", "x")
+    assert session.process(u, to_analog(u, fam)) == "retained"
+    v = plus_x_zero()
+    assert session.process(v, to_analog(v, fam)) == "pruned_rewriter"
+    # The pattern learned from plus(x, 0) blocks every plus(_, 0).
+    w = DtValue("I", "plus", (DtValue("I", "y"), DtValue("I", "0")))
+    assert session.patterns.blocks(w)
+    assert session.process(w, to_analog(w, fam)) == "blocked"
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +358,9 @@ def test_pruned_values_are_justified():
 
 
 def stored_patterns(session, monkeypatch) -> list:
-    """The eager patterns plus every pattern the session stores while
-    it enumerates up to size 3, recorded as generalize_pattern returns
-    them."""
-    made = list(eager_patterns(session.family))
+    """Every pattern the session stores while it enumerates up to
+    size 3, recorded as generalize_pattern returns them."""
+    made = []
     generalize = enumsearch.generalize_pattern
 
     def recording(*args):
@@ -382,7 +383,7 @@ def test_pattern_index_agrees_with_a_linear_scan(name, monkeypatch):
     session = INDEX_SESSIONS[name]()
     fam = session.family
     patterns = stored_patterns(session, monkeypatch)
-    assert len(patterns) > len(eager_patterns(fam))
+    assert patterns
     # No root constraint: blocks every I value whose first I child is x.
     rootless = BlockingPattern("I", frozenset([((("I", 1),), "x")]))
     index = PatternIndex(patterns + [rootless])
@@ -450,3 +451,25 @@ def test_solve_enum_without_symmetry_breaking_still_solves():
                             sb_examples=False)
     assert are_equivalent(sol["f"].body, ite(le(y, x), x, y))
     assert stats.pruned_rewriter == 0 and stats.pruned_signature == 0
+    assert stats.blocked_exact == 0
+    # A grammar with 0 and + offers plus(_, 0); with the rewriter off,
+    # no pattern is learned, so not even that is blocked.
+    p = load_golden("io_points.sy")
+    sol, stats = solve_enum(p, io_family(), sb_rewriter=False,
+                            sb_examples=False)
+    assert stats.blocked_exact == 0
+
+
+@pytest.mark.parametrize("sb_examples", [True, False])
+def test_io_conjecture_is_decided_without_the_solver(sb_examples,
+                                                     monkeypatch):
+    def no_solver(*args):
+        raise AssertionError("check_sat called on an example conjecture")
+
+    monkeypatch.setattr(enumsearch, "check_sat", no_solver)
+    p = load_golden("io_points.sy")
+    sol, stats = solve_enum(p, io_family(), sb_examples=sb_examples)
+    body = sol["f"].body
+    for (a, b), out in zip(EQ12_POINTS, (1, 3, 8)):
+        assert evaluate(body, {"x": a, "y": b}) == out
+    assert stats.counterexample_points == 0

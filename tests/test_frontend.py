@@ -97,6 +97,21 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("numeral,ok", [
+    ("--5", False), ("\u00b2", False), ("\u0663", False), ("-5", True)])
+def test_only_ascii_numerals_parse(numeral, ok):
+    text = ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n"
+            f"(declare-var x Int)\n(constraint (= (f x) {numeral}))\n"
+            "(check-synth)")
+    if ok:
+        c = parse_problem(text).constraint
+        assert c.args[1] == IntConst(int(numeral))
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.col) == (4, 22)
+
+
 @pytest.mark.parametrize("text,where", [
     ("(set-logic LIA)\n(synth-fun + ((x Int)) Int)\n(declare-var x Int)"
      "\n(constraint (>= (+ x) x))\n(check-synth)", (2, 12)),

@@ -8,6 +8,7 @@ import pytest
 
 from synthlia import qfsolver
 from synthlia.qfsolver import ResourceLimit, Sat, check_sat, check_valid
+from synthlia.rewrite import atom_diff
 from synthlia.terms import (
     IntConst,
     add,
@@ -57,6 +58,20 @@ def test_each_lift_is_charged_to_the_step_budget(monkeypatch):
     monkeypatch.setattr(qfsolver, "STEP_BUDGET", 2000)
     with pytest.raises(ResourceLimit):
         check_sat(f)
+
+
+def test_each_ite_condition_is_linearized_once(monkeypatch):
+    # Every one of the 21**3 lift paths repeats the 60 chain conditions;
+    # each leaf comparison and each condition is linearized once.
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return atom_diff(t)
+
+    monkeypatch.setattr(qfsolver, "atom_diff", counting)
+    assert isinstance(check_sat(le(_chain_sum(3, 20), IntConst(60))), Sat)
+    assert len(calls) == 21 ** 3 + 3 * 20
 
 
 def _linear(rng: random.Random):

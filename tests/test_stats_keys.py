@@ -24,6 +24,7 @@ def read_keys() -> list[str]:
     ("between.sy", "cegqi"),
     ("between_grammar.sy", "cegqi+reconstruction"),
     ("max_sym.sy", "enum"),
+    ("io_points.sy", "enum"),
 ])
 def test_every_counter_the_benchmark_reads_is_reported(name, strategy):
     keys = read_keys()
