@@ -32,6 +32,7 @@ from .terms import (
     evaluate,
     free_vars,
     ite,
+    print_term,
     substitute,
     subterms,
 )
@@ -103,8 +104,13 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
             if bound is None:
                 continue
             kind, t = bound
-            if free_vars(t) & kset:
-                continue
+            others = free_vars(t) & kset
+            if others:
+                # A bound over other instantiation variables is usable
+                # once all of them are chosen: their picks replace them.
+                if any(o.name not in chosen for o in others):
+                    continue
+                t = substitute(t, chosen)
             try:
                 sat_here = bool(evaluate(atom, dict(model)))
                 val = evaluate(t, dict(model))
@@ -114,12 +120,13 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
             # candidates (the progress filter below vets them); they
             # just rank behind the satisfied ones.
             tier = 0 if sat_here else 3
+            order = print_term(canonical_key(t))
             if kind == "eq":
-                candidates.append((tier + 0, (canonical_key(t),), t))
+                candidates.append((tier + 0, (order,), t))
             elif kind == "lower":
-                candidates.append((tier + 1, (-val, canonical_key(t)), t))
+                candidates.append((tier + 1, (-val, order), t))
             else:
-                candidates.append((tier + 2, (val, canonical_key(t)), t))
+                candidates.append((tier + 2, (val, order), t))
         candidates.sort(key=lambda c: (c[0], c[1]))
         pick: Optional[Term] = None
         for _, _, t in candidates:
@@ -203,7 +210,7 @@ def extract_solution(trace: InstanceTrace, p: SynthProblem,
 
 
 def _smallest_upto(g: Grammar, nt: str, size: int, pool: dict,
-                   deadline: Optional[float]) -> dict[str, Term]:
+                   deadline: Optional[float]) -> dict[Term, Term]:
     """Canonical key -> smallest term of ``nt`` up to ``size``, cached
     in ``pool`` per (nonterminal, size)."""
     got = pool.get((nt, size))

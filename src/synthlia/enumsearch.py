@@ -53,6 +53,7 @@ from .terms import (
     evaluate,
     free_vars,
     not_,
+    print_term,
     sort_of,
     substitute,
 )
@@ -407,7 +408,7 @@ def _node_paths(v: DtValue) -> list[tuple[SelectorPath, DtValue]]:
 
 @dataclass(frozen=True)
 class RewriterDup:
-    key: str
+    key: Term
 
 
 @dataclass(frozen=True)
@@ -564,7 +565,7 @@ def check_deadline(deadline: Optional[float],
 
 
 def smallest_terms(g: Grammar, max_size: int, nt: str,
-                   deadline: Optional[float] = None) -> dict[str, Term]:
+                   deadline: Optional[float] = None) -> dict[Term, Term]:
     """Canonical key -> the smallest term ``nt`` derives with that key,
     over the terms with at most ``max_size`` non-nullary applications.
 
@@ -575,7 +576,7 @@ def smallest_terms(g: Grammar, max_size: int, nt: str,
     Raises TimedOut once ``deadline`` (a time.monotonic() value) passes.
     """
     family = grammar_to_datatypes(g)
-    terms: dict[str, dict[str, Term]] = \
+    terms: dict[str, dict[Term, Term]] = \
         {d.name: {} for d in family.datatypes}
 
     def admit(v: DtValue, t: Term) -> bool:
@@ -616,23 +617,28 @@ class EnumStats:
 
 class EnumSession:
     """State of one enumerative search: the candidate database and the
-    blocking-pattern store, which decide what the search's pools admit."""
+    blocking-pattern store, which decide what the search's pools admit.
+    Signatures are computed whenever there are example ``points``;
+    ``sb_rewriter`` and ``sb_examples`` switch the two prunings."""
 
     def __init__(self, family: DatatypeFamily, *,
                  sb_rewriter: bool = True,
+                 sb_examples: bool = True,
                  points: Optional[list] = None,
                  trace: Optional[Callable[[str], None]] = None):
         self.family = family
         self.sb_rewriter = sb_rewriter
+        self.sb_examples = sb_examples
         self.points = points
         self.trace = trace
         self.stats = EnumStats()
         self.patterns = PatternIndex()
-        # Per datatype: the canonical keys and the signatures retained.
-        self.keys: dict[str, set[str]] = \
+        # Per datatype: the canonical keys retained, and each signature
+        # retained with the analog of its first retained value.
+        self.keys: dict[str, set[Term]] = \
             {d.name: set() for d in family.datatypes}
-        self.sigs: dict[str, set[tuple]] = \
-            {d.name: set() for d in family.datatypes}
+        self.sigs: dict[str, dict[tuple, Term]] = \
+            {d.name: {} for d in family.datatypes}
 
     # -- candidate admission ------------------------------------------------
 
@@ -649,13 +655,15 @@ class EnumSession:
         if self.sb_rewriter and key in self.keys[v.dtype]:
             self.stats.pruned_rewriter += 1
             if self.trace:
-                self.trace(f"pruned-rewriter {self._show(v)} -> {key}")
+                self.trace(f"pruned-rewriter {self._show(v)} -> "
+                           f"{print_term(key)}")
             self.patterns.add(generalize_pattern(
                 v, analog, self.family, RewriterDup(key)))
             return "pruned_rewriter"
         if self.points is not None:
             sig = signature_of(analog, self.family, self.points)
-            if sig in self.sigs[v.dtype]:
+            seen = self.sigs[v.dtype]
+            if self.sb_examples and sig in seen:
                 self.stats.pruned_signature += 1
                 if self.trace:
                     self.trace(
@@ -665,7 +673,7 @@ class EnumSession:
                     SignatureDup(sig, tuple(tuple(p)
                                             for p in self.points))))
                 return "pruned_signature"
-            self.sigs[v.dtype].add(sig)
+            seen.setdefault(sig, analog)
         self.stats.retained += 1
         self.keys[v.dtype].add(key)
         return "retained"
@@ -719,17 +727,20 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
         points = [ins for ins, _ in cls.points]
         want = tuple(outs[0] for _, outs in cls.points)
     session = EnumSession(family, sb_rewriter=sb_rewriter,
-                          points=points if sb_examples else None,
+                          sb_examples=sb_examples, points=points,
                           trace=trace)
     cex: list[dict] = []
     params = f.param_vars()
     for _, body in session.candidates(max_size, deadline):
         check_deadline(deadline, session.stats)
-        sol = {f.name: Lambda(params, body)}
         if points is not None:
-            if signature_of(body, family, points) == want:
-                return sol, session.stats
-            continue
+            # A level is admitted whole before its first value is
+            # yielded, so the first match of the level is recorded.
+            body = session.sigs[family.start].get(want)
+            if body is None:
+                continue
+            return {f.name: Lambda(params, body)}, session.stats
+        sol = {f.name: Lambda(params, body)}
         spec = apply_solution(p, sol)
         if any(not evaluate(spec, env) for env in cex):
             continue

@@ -132,7 +132,7 @@ class Grammar:
     # -- size-ordered pool -------------------------------------------------
 
     def terms_upto(self, max_size: int, nt: Optional[str] = None,
-                   deadline: Optional[float] = None) -> dict[str, Term]:
+                   deadline: Optional[float] = None) -> dict[Term, Term]:
         """Canonical key -> the smallest term ``nt`` (default s0) derives
         with that key, over the terms with at most ``max_size`` non-nullary
         applications; see ``enumsearch.smallest_terms``."""

@@ -321,10 +321,9 @@ class _Checker:
         self.budget = STEP_BUDGET
         self.atoms: list[_Atom] = []
         self.atom_ids: dict = {}
-        # id(condition) -> (condition, its node): every lift path of an
-        # Int ite repeats its condition object, which is built once. The
-        # entry keeps the object alive, so its id is not reused.
-        self.conds: dict[int, tuple[Term, object]] = {}
+        # condition -> its node: every lift path of an Int ite repeats
+        # its condition, which is built once.
+        self.conds: dict[Term, object] = {}
         self.root = self._build(f)
 
     # boolean AST: True/False, int atom index, ("not", n), ("and"/"or", tuple)
@@ -371,10 +370,10 @@ class _Checker:
         raise SortError(f"unexpected operator {op!r}")
 
     def _cond(self, t: Term):
-        got = self.conds.get(id(t))
+        got = self.conds.get(t)
         if got is None:
-            got = self.conds[id(t)] = (t, self._build(t))
-        return got[1]
+            got = self.conds[t] = self._build(t)
+        return got
 
     # -- search ------------------------------------------------------------
 

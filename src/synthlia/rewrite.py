@@ -9,7 +9,12 @@ condition or equal branches is folded.
 
 Normal forms are deterministic but deliberately not unique across all
 equivalent terms; equal normal forms imply theory equivalence, never the
-converse.
+converse. A normal form is its own canonical key: terms are hashable and
+compare structurally, so keys are compared and indexed as terms, and
+``print_term`` only prints and orders them.
+
+Each linear form is built in one pass: ``_collect`` adds every scaled
+summand into one accumulator, whose monomials are sorted once.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ from .terms import (
     well_sorted,
 )
 
-# A linear form is (constant, monomials) where monomials maps an opaque
-# normalized Int term (variable, ite, unknown-function application) to a
-# nonzero integer coefficient.
+# A linear form is (constant, monomials) where monomials pairs each opaque
+# normalized Int term (variable, ite, unknown-function application) with a
+# nonzero integer coefficient, in ``_mono_key`` order.
 Linear = tuple[int, tuple[tuple[Term, int], ...]]
 
 
@@ -60,49 +65,42 @@ def _lin_to_term(lin: Linear) -> Term:
     return add(*parts)
 
 
-def _lin_add(a: Linear, b: Linear, scale: int = 1) -> Linear:
-    const = a[0] + scale * b[0]
-    acc = dict(a[1])
-    for m, c in b[1]:
-        acc[m] = acc.get(m, 0) + scale * c
-        if acc[m] == 0:
-            del acc[m]
-    monos = tuple(sorted(acc.items(), key=lambda mc: _mono_key(mc[0])))
-    return (const, monos)
+def _collect(t: Term, scale: int, acc: dict) -> int:
+    """Add ``scale * t`` into ``acc`` (monomial -> coefficient) and
+    return its constant; non-linear nodes become opaque monomials."""
+    if isinstance(t, IntConst):
+        return scale * t.value
+    if isinstance(t, App):
+        if t.op == "+":
+            return sum(_collect(a, scale, acc) for a in t.args)
+        if t.op == "*":
+            return _collect(t.args[1], scale * t.args[0].value, acc)
+        if t.op != "ite":
+            raise SortError(
+                f"non-arithmetic operator {t.op} in an Int position")
+        t = normalize(t)
+        if not (isinstance(t, App) and t.op == "ite"):
+            return _collect(t, scale, acc)
+    elif isinstance(t, UFApp):
+        t = normalize(t)
+    elif not isinstance(t, Var):
+        raise SortError("a boolean constant in an Int position")
+    acc[t] = acc.get(t, 0) + scale
+    return 0
 
 
-_ZERO: Linear = (0, ())
+def _linear(const: int, acc: dict) -> Linear:
+    """The linear form of ``const + acc``: zero coefficients dropped,
+    monomials sorted once."""
+    monos = sorted(((m, c) for m, c in acc.items() if c),
+                   key=lambda mc: _mono_key(mc[0]))
+    return (const, tuple(monos))
 
 
 def _lin(t: Term) -> Linear:
-    """Linear form of an Int term; non-linear nodes become opaque monomials."""
-    if isinstance(t, IntConst):
-        return (t.value, ())
-    if isinstance(t, Var):
-        return (0, ((t, 1),))
-    if isinstance(t, UFApp):
-        return (0, ((normalize(t), 1),))
-    if not isinstance(t, App):
-        raise SortError("a boolean constant in an Int position")
-    if t.op == "+":
-        out = _ZERO
-        for a in t.args:
-            out = _lin_add(out, _lin(a))
-        return out
-    if t.op == "*":
-        c = t.args[0]
-        assert isinstance(c, IntConst)
-        return _lin_add(_ZERO, _lin(t.args[1]), c.value)
-    if t.op == "ite":
-        n = normalize(t)
-        if isinstance(n, App) and n.op == "ite":
-            return (0, ((n, 1),))
-        return _lin(n)
-    raise SortError(f"non-arithmetic operator {t.op} in an Int position")
-
-
-def _diff(a: Term, b: Term) -> Linear:
-    return _lin_add(_lin(a), _lin(b), -1)
+    """Linear form of an Int term."""
+    acc: dict = {}
+    return _linear(_collect(t, 1, acc), acc)
 
 
 def atom_diff(t: App) -> Linear:
@@ -111,15 +109,13 @@ def atom_diff(t: App) -> Linear:
     for an Int ``=``. The one place that maps comparisons to linear
     forms, for the rewriter and the QF solver alike."""
     a, b = t.args
-    if t.op in ("<=", "="):
-        return _diff(a, b)
-    if t.op == ">=":
-        return _diff(b, a)
-    if t.op == "<":
-        return _lin_add(_diff(a, b), (1, ()))
-    if t.op == ">":
-        return _lin_add(_diff(b, a), (1, ()))
-    raise SortError(f"{t.op!r} is not a comparison")
+    if t.op in (">=", ">"):
+        a, b = b, a
+    elif t.op not in ("<=", "<", "="):
+        raise SortError(f"{t.op!r} is not a comparison")
+    acc: dict = {}
+    const = _collect(a, 1, acc) + _collect(b, -1, acc)
+    return _linear(const + (1 if t.op in ("<", ">") else 0), acc)
 
 
 def unit_bound(atom: Term, k: Var) -> Optional[tuple[str, Term]]:
@@ -180,7 +176,8 @@ def negate_norm(t: Term) -> Term:
             return t.args[0]
         if t.op == "<=":
             # not(d <= 0)  <=>  1 - d <= 0   (integers)
-            return _le_atom(_lin_add((1, ()), atom_diff(t), -1))
+            const, monos = atom_diff(t)
+            return _le_atom((1 - const, tuple((m, -c) for m, c in monos)))
     return App("not", (t,))
 
 
@@ -197,14 +194,10 @@ def _norm_junction(op: str, args: tuple[Term, ...]) -> Term:
             return absorb
         elif n != unit:
             flat.append(n)
-    seen: dict[str, Term] = {}
-    for n in flat:
-        seen.setdefault(print_term(n), n)
-    keys = set(seen)
-    for n in seen.values():
-        if print_term(negate_norm(n)) in keys:
-            return absorb
-    ordered = [seen[k] for k in sorted(seen)]
+    seen = dict.fromkeys(flat)
+    if any(negate_norm(n) in seen for n in seen):
+        return absorb
+    ordered = sorted(seen, key=print_term)
     if not ordered:
         return unit
     if len(ordered) == 1:
@@ -233,7 +226,7 @@ def normalize(t: Term) -> Term:
             return b if a.value else normalize(App("not", (b,)))
         if isinstance(b, BoolConst):
             return a if b.value else normalize(App("not", (a,)))
-        if print_term(a) == print_term(b):
+        if a == b:
             return TRUE
         if print_term(a) > print_term(b):
             a, b = b, a
@@ -252,7 +245,7 @@ def normalize(t: Term) -> Term:
         if isinstance(cond, App) and cond.op == "not":
             cond, then, els = cond.args[0], els, then
         nt_, ne = normalize(then), normalize(els)
-        if print_term(nt_) == print_term(ne):
+        if nt_ == ne:
             return nt_
         if sort_of(nt_) == BOOL:
             if nt_ == TRUE and ne == FALSE:
@@ -263,8 +256,9 @@ def normalize(t: Term) -> Term:
     raise SortError(f"unknown operator {op!r}")
 
 
-def canonical_key(t: Term) -> str:
-    """Key equal exactly for terms with identical normal forms."""
+def canonical_key(t: Term) -> Term:
+    """Key equal exactly for terms with identical normal forms: the
+    normal form itself."""
     if not well_sorted(t):
         raise SortError("canonical_key requires a well-sorted term")
-    return print_term(normalize(t))
+    return normalize(t)

@@ -220,16 +220,16 @@ def _parse_grammar(decls: SExpr, groups: SExpr,
     if not isinstance(decls, list) or not isinstance(groups, list):
         raise ParseError("malformed grammar", *where)
     nts: dict[str, str] = {}
-    order: list[str] = []
     for d in decls:
         if not (isinstance(d, list) and len(d) == 2):
             raise ParseError("nonterminal declaration must be (NT Sort)",
                              *_where(d))
         name = _check_name(_expect_atom(d[0], "a nonterminal"),
                            *_where(d[0]))
+        if name in nts:
+            raise ParseError(f"duplicate nonterminal {name!r}", *_where(d[0]))
         nts[name] = _parse_sort(d[1])
-        order.append(name)
-    if not order:
+    if not nts:
         raise ParseError("grammar declares no nonterminals", *where)
     scope: dict[str, Term] = {p.name: p for p in params}
     scope.update({n: Var(n, s) for n, s in nts.items()})
@@ -253,7 +253,7 @@ def _parse_grammar(decls: SExpr, groups: SExpr,
     missing = set(nts) - seen
     if missing:
         raise ParseError(f"no productions for {sorted(missing)}", *where)
-    return Grammar(start=order[0], nonterminals=nts,
+    return Grammar(start=next(iter(nts)), nonterminals=nts,
                    rules=tuple(rules), params=params)
 
 
@@ -294,8 +294,12 @@ def parse_problem(text: str) -> SynthProblem:
                 if not (isinstance(pr, list) and len(pr) == 2):
                     raise ParseError("parameter must be (name Sort)",
                                      *_where(pr))
-                pnames.append(_check_name(
-                    _expect_atom(pr[0], "a parameter name"), *_where(pr[0])))
+                pname = _check_name(
+                    _expect_atom(pr[0], "a parameter name"), *_where(pr[0]))
+                if pname in pnames:
+                    raise ParseError(f"duplicate parameter {pname!r}",
+                                     *_where(pr[0]))
+                pnames.append(pname)
                 psorts.append(_parse_sort(pr[1]))
             ret = _parse_sort(form[3])
             fsort = FunSort(tuple(psorts), ret)

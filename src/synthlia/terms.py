@@ -317,7 +317,7 @@ def evaluate(t: Term, env: Mapping[str, Value]) -> Value:
 def print_term(t: Term) -> str:
     """The input format's rendering of a lambda-free term. It is
     injective, since no name can be an operator symbol, so it also
-    serves as a term's key and its order."""
+    orders terms; a term is its own key."""
     if isinstance(t, IntConst):
         return str(t.value) if t.value >= 0 else f"(- {-t.value})"
     if isinstance(t, BoolConst):

@@ -139,6 +139,25 @@ def test_select_terms_fills_later_bool_variables_with_bool_constants():
     assert check_valid(apply_solution(p, out.solution))
 
 
+def test_select_terms_substitutes_chosen_instantiation_variables():
+    # g's bound  k_g = x + y - k_f  mentions f's instantiation variable;
+    # once f's pick is chosen it is substituted, and one instance solves.
+    fsort = FunSort((INT, INT), INT)
+    f = SynthFun("f", fsort, ("a", "b"))
+    g = SynthFun("g", fsort, ("a", "b"))
+    fxy, gxy = UFApp("f", fsort, (x, y)), UFApp("g", fsort, (x, y))
+    p = SynthProblem(
+        functions=(f, g),
+        universals=(x, y),
+        constraint=and_(eq(add(fxy, gxy), add(x, y)), ge(fxy, x)))
+    out = solve(p, SolverConfig(verify=True))
+    assert isinstance(out, Success), out
+    assert out.strategy == "cegqi"
+    assert out.stats["cegqi_iterations"] == 1
+    assert out.solution["f"].body == Var("a", INT)
+    assert out.solution["g"].body == Var("b", INT)
+
+
 def test_extract_solution_needs_instances():
     p = load_golden("between.sy")
     fo = to_first_order(p)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -280,9 +281,9 @@ def test_raw_enumeration_matches_grammar_oracle():
 def test_default_grammar_encoding_is_exact():
     g = default_grammar(FunSort((INT,), INT), ("x",))
     fam = grammar_to_datatypes(g)
-    raw = sorted(canonical_key(to_analog(v, fam))
-                 for v in raw_values(fam, 3))
-    oracle = sorted(canonical_key(t) for t in oracle_terms(g, 3))
+    raw = Counter(canonical_key(to_analog(v, fam))
+                  for v in raw_values(fam, 3))
+    oracle = Counter(canonical_key(t) for t in oracle_terms(g, 3))
     assert raw == oracle
 
 
@@ -443,6 +444,23 @@ def test_solve_enum_with_io_points():
     for (a, b), out in zip(EQ12_POINTS, (1, 3, 8)):
         assert evaluate(body, {"x": a, "y": b}) == out
     assert stats.consistent()
+
+
+@pytest.mark.parametrize("sb_examples", [True, False])
+def test_each_signature_is_evaluated_once(sb_examples, monkeypatch):
+    # The session keeps each retained signature with its analog, so the
+    # example check needs no signature of its own.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return signature_of(*args)
+
+    monkeypatch.setattr(enumsearch, "signature_of", counting)
+    p = load_golden("io_points.sy")
+    _, stats = solve_enum(p, io_family(), sb_examples=sb_examples)
+    assert stats.retained > 0
+    assert len(calls) == stats.retained + stats.pruned_signature
 
 
 def test_solve_enum_without_symmetry_breaking_still_solves():

@@ -136,6 +136,25 @@ def test_reserved_symbols_are_not_names(text, where, tmp_path, capsys):
     assert "reserved" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,where", [
+    ("(set-logic LIA)\n(synth-fun f ((x Int) (x Int)) Int)\n"
+     "(declare-var y Int)\n(constraint (>= (f y y) y))\n(check-synth)",
+     (2, 24)),
+    ("(set-logic LIA)\n(synth-fun f ((x Int)) Int ((I Int) (I Int))"
+     " ((I Int (x 0))))\n(declare-var x Int)"
+     "\n(constraint (>= (f x) x))\n(check-synth)", (2, 38)),
+], ids=["parameter", "nonterminal"])
+def test_duplicate_names_are_rejected(text, where, tmp_path, capsys):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert "duplicate" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == where
+    path = tmp_path / "duplicate.sy"
+    path.write_text(text)
+    assert cli_main([str(path)]) == 2
+    assert "duplicate" in capsys.readouterr().err
+
+
 def test_parser_rejects_undeclared_nonterminal():
     text = """
     (set-logic LIA)

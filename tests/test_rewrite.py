@@ -3,6 +3,8 @@ import random
 import pytest
 
 from synthlia.rewrite import (
+    _lin,
+    _mono_key,
     atom_diff,
     canonical_key,
     negate_norm,
@@ -121,6 +123,46 @@ def test_canonical_key_separates_inequivalent_terms():
     assert canonical_key(x) != canonical_key(y)
     assert canonical_key(le(x, y)) != canonical_key(le(y, x))
     assert canonical_key(add(x, IntConst(1))) != canonical_key(x)
+
+
+def test_canonical_key_is_the_normal_form():
+    # A key is the normal-form term itself, and two keys are equal
+    # exactly when their printed texts are.
+    rng = random.Random(29)
+    terms = [random_term(rng, 2) for _ in range(200)]
+    keys = [canonical_key(t) for t in terms]
+    assert keys == [normalize(t) for t in terms]
+    equal = 0
+    for _ in range(2000):
+        a, b = rng.choice(keys), rng.choice(keys)
+        assert (a == b) == (serialize(a) == serialize(b))
+        equal += a == b
+    assert equal > 20
+
+
+def assert_canonical_linear(lin):
+    const, monos = lin
+    order = [_mono_key(m) for m, _ in monos]
+    assert all(p < q for p, q in zip(order, order[1:])), lin
+    assert all(c != 0 for _, c in monos), lin
+
+
+def test_linear_forms_have_one_shape():
+    # Monomials strictly ordered, no zero coefficient, and the form does
+    # not depend on the order of the summands or on an added 0.
+    assert _lin(add(x, y, mul(-1, x))) == (0, ((y, 1),))
+    rng = random.Random(31)
+    for _ in range(300):
+        parts = [random_int_term(rng, 2) for _ in range(rng.randint(2, 5))]
+        lin = _lin(add(*parts))
+        assert_canonical_linear(lin)
+        shuffled = rng.sample(parts, len(parts))
+        assert _lin(add(*shuffled)) == lin
+        assert _lin(add(*shuffled, IntConst(0))) == lin
+        rhs = random_int_term(rng, 2)
+        diff = atom_diff(le(add(*parts), rhs))
+        assert_canonical_linear(diff)
+        assert atom_diff(le(add(IntConst(0), *shuffled), rhs)) == diff
 
 
 def test_canonical_key_requires_well_sorted():
