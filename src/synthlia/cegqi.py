@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .classify import FirstOrderForm, shared_invocation_tuple
-from .enumsearch import check_deadline
+from .enumsearch import Sample, check_deadline
 from .problem import Grammar, SynthProblem, Solution
 from .rewrite import canonical_key, normalize, unit_bound
 from .qfsolver import ResourceLimit, Sat, Unsat, are_equivalent, check_sat
@@ -219,18 +219,47 @@ def _smallest_upto(g: Grammar, nt: str, size: int, pool: dict,
     return got
 
 
+def _sample(want: Term, g: Grammar) -> Sample:
+    """Six fixed rows that bind the grammar's parameters and every free
+    variable of ``want``, and ``want``'s values at them. In row i, the
+    k-th variable (parameters first, then the others by name) is
+    (7i + 13k) mod 11 - 5, or, for a Bool one, whether i + k is even."""
+    extra = sorted(free_vars(want) - set(g.params), key=lambda v: v.name)
+    variables = list(g.params) + extra
+    rows = [{v.name: (7 * i + 13 * k) % 11 - 5 if v.sort == INT
+             else (i + k) % 2 == 0 for k, v in enumerate(variables)}
+            for i in range(6)]
+    return rows, tuple(evaluate(want, row) for row in rows)
+
+
 def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
                 pool: dict, deadline: Optional[float] = None) -> Term:
+    """A term ``nt`` derives that is equivalent to ``t``: ``t`` itself,
+    else the smallest term with ``t``'s canonical key, else a repair of
+    ``t``'s children under its operator, else the first term up to the
+    budget, in size order, that the solver proves equivalent.
+
+    Below the budget, every term is keyed, one size level at a time,
+    cached in ``pool``. The call for the budget level returns only the
+    terms whose values at ``_sample``'s rows equal ``t``'s, and keys
+    only those of its own level; the solver sees only them. Equivalent
+    terms agree at every row, so no other term can be the key hit or
+    an equivalent term.
+    """
     check_deadline(deadline)
     if g.generates(t, nt):
         return t
     # Look the normal form up one size level at a time: most solutions
     # match a small term, and the largest level costs the most.
     want = canonical_key(t)
-    for size in range(budget + 1):
+    for size in range(budget):
         hit = _smallest_upto(g, nt, size, pool, deadline).get(want)
         if hit is not None:
             return hit
+    matching = g.terms_upto(budget, nt, deadline, sample=_sample(want, g))
+    hit = matching.get(want)
+    if hit is not None:
+        return hit
     check_deadline(deadline)
     # Top-level repair: keep the operator, reconstruct children against
     # the nonterminals a matching production assigns them.
@@ -248,7 +277,7 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
             except ReconstructionFailure:
                 continue
             return App(t.op, kids)
-    for c in _smallest_upto(g, nt, budget, pool, deadline).values():
+    for c in matching.values():
         check_deadline(deadline)
         if are_equivalent(c, t):
             return c

@@ -42,6 +42,7 @@ from .rewrite import canonical_key, normalize
 from .terms import (
     BOOL,
     INT,
+    OP_VALUES,
     App,
     BoolConst,
     EvalError,
@@ -49,6 +50,7 @@ from .terms import (
     IntConst,
     Lambda,
     Term,
+    Value,
     Var,
     evaluate,
     free_vars,
@@ -564,8 +566,12 @@ def check_deadline(deadline: Optional[float],
         raise TimedOut(stats)
 
 
+Sample = tuple[list[dict[str, Value]], tuple]  # rows, values at the rows
+
+
 def smallest_terms(g: Grammar, max_size: int, nt: str,
-                   deadline: Optional[float] = None) -> dict[Term, Term]:
+                   deadline: Optional[float] = None,
+                   sample: Optional[Sample] = None) -> dict[Term, Term]:
     """Canonical key -> the smallest term ``nt`` derives with that key,
     over the terms with at most ``max_size`` non-nullary applications.
 
@@ -573,25 +579,57 @@ def smallest_terms(g: Grammar, max_size: int, nt: str,
     each level is composed from one representative per normal form.
     Every level below ``max_size`` is built before any larger one, so
     the representative a key keeps is one of its smallest terms.
+
+    With ``sample`` = ``(rows, vector)``, only the terms whose values
+    at the rows equal ``vector`` are returned. The levels below
+    ``max_size`` are built as without it, and each admitted value's
+    values at the rows are composed once from its children's (a
+    leaf's are evaluated). Then ``nt``'s terms keep only the matching
+    ones, and a value of ``nt``'s level ``max_size`` is keyed only
+    when its values equal ``vector``. Terms with equal keys are
+    equivalent, so they agree at every row: the result is the
+    unfiltered one restricted to the matching terms, in the same
+    order. Every row binds the grammar's parameters.
+
     Raises TimedOut once ``deadline`` (a time.monotonic() value) passes.
     """
     family = grammar_to_datatypes(g)
     terms: dict[str, dict[Term, Term]] = \
         {d.name: {} for d in family.datatypes}
+    rows, want = sample if sample is not None else (None, None)
+    # The values at the rows of each admitted analog, by its id: the
+    # pool levels keep every admitted analog alive for the whole build.
+    vectors: dict[int, tuple] = {}
+    filtering = False  # set for nt's level max_size under a sample
+
+    def vector(t: Term) -> tuple:
+        if isinstance(t, App):
+            return tuple(map(OP_VALUES[t.op],
+                             *[vectors[id(a)] for a in t.args]))
+        return tuple(evaluate(t, row) for row in rows)
 
     def admit(v: DtValue, t: Term) -> bool:
         check_deadline(deadline)
+        if filtering and vector(t) != want:
+            return False
         key = canonical_key(t)
         seen = terms[v.dtype]
         if key in seen:
             return False
         seen[key] = t
+        if rows is not None:
+            vectors[id(t)] = vector(t)
         return True
 
     pools = Pools(family, admit)
     for size in range(max_size):
         for d in family.datatypes:
             pools.level(d.name, size)
+    if rows is not None:
+        # A key dropped here cannot come back: its terms do not match.
+        terms[nt] = {key: t for key, t in terms[nt].items()
+                     if vectors[id(t)] == want}
+        filtering = True
     pools.level(nt, max_size)
     return terms[nt]
 

@@ -132,16 +132,20 @@ class Grammar:
     # -- size-ordered pool -------------------------------------------------
 
     def terms_upto(self, max_size: int, nt: Optional[str] = None,
-                   deadline: Optional[float] = None) -> dict[Term, Term]:
+                   deadline: Optional[float] = None,
+                   sample: Optional[tuple] = None) -> dict[Term, Term]:
         """Canonical key -> the smallest term ``nt`` (default s0) derives
         with that key, over the terms with at most ``max_size`` non-nullary
-        applications; see ``enumsearch.smallest_terms``."""
+        applications. With ``sample`` = ``(rows, vector)``, only the terms
+        whose values at the rows (variable name -> value maps) equal
+        ``vector``; see ``enumsearch.smallest_terms``."""
         # A thin call into the search's pool builder. It stays a method
         # of Grammar because perfbench/tracing.py times reconstruction's
         # pool under this name; enumsearch imports this module, hence
         # the local import.
         from .enumsearch import smallest_terms
-        return smallest_terms(self, max_size, nt or self.start, deadline)
+        return smallest_terms(self, max_size, nt or self.start, deadline,
+                              sample)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ term tree is ``+`` and the only multiplication is by a literal constant
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -264,8 +265,34 @@ def well_sorted(t: Term) -> bool:
 # Evaluation
 
 
+# Each builtin operator's value from its arguments' values: the one
+# statement of the operators' meaning. ``evaluate`` applies it, and
+# ``enumsearch.smallest_terms`` composes a term's values at sample points
+# from its children's with it.
+OP_VALUES: dict[str, Callable[..., Value]] = {
+    "+": lambda *vals: sum(vals),
+    "*": operator.mul,
+    "<=": operator.le,
+    "<": operator.lt,
+    ">=": operator.ge,
+    ">": operator.gt,
+    "=": operator.eq,
+    "not": operator.not_,
+    "and": lambda *vals: all(vals),
+    "or": lambda *vals: any(vals),
+    "=>": lambda a, b: (not a) or bool(b),
+    "ite": lambda c, a, b: a if c else b,
+}
+
+
 def evaluate(t: Term, env: Mapping[str, Value]) -> Value:
-    """Evaluate a ground (UFApp/Lambda free) term under an assignment."""
+    """Evaluate a ground (UFApp/Lambda free) term under an assignment.
+
+    Strict operators take their value from ``OP_VALUES``. ``ite``,
+    ``and``, ``or`` and ``=>`` short-circuit: they evaluate only the
+    arguments their value depends on, so an unbound variable in an
+    untaken branch raises no EvalError.
+    """
     if isinstance(t, IntConst):
         return t.value
     if isinstance(t, BoolConst):
@@ -288,26 +315,12 @@ def evaluate(t: Term, env: Mapping[str, Value]) -> Value:
         return all(evaluate(a, env) for a in args)
     if op == "or":
         return any(evaluate(a, env) for a in args)
-    if op == "not":
-        return not evaluate(args[0], env)
     if op == "=>":
         return (not evaluate(args[0], env)) or bool(evaluate(args[1], env))
-    vals = [evaluate(a, env) for a in args]
-    if op == "+":
-        return sum(vals)
-    if op == "*":
-        return vals[0] * vals[1]
-    if op == "<=":
-        return vals[0] <= vals[1]
-    if op == "<":
-        return vals[0] < vals[1]
-    if op == ">=":
-        return vals[0] >= vals[1]
-    if op == ">":
-        return vals[0] > vals[1]
-    if op == "=":
-        return vals[0] == vals[1]
-    raise EvalError(f"unknown operator {op!r}")
+    fn = OP_VALUES.get(op)
+    if fn is None:
+        raise EvalError(f"unknown operator {op!r}")
+    return fn(*[evaluate(a, env) for a in args])
 
 
 # ---------------------------------------------------------------------------

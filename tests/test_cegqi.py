@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from synthlia.cegqi import (
     select_terms,
     solve_cegqi,
 )
+from synthlia import enumsearch
 from synthlia.classify import to_first_order, to_single_invocation
 from synthlia.driver import SolverConfig, Success, solve
 from synthlia.problem import Grammar, SynthFun, SynthProblem, apply_solution
@@ -36,6 +38,9 @@ from synthlia.terms import (
     ivar,
     le,
     lt,
+    mul,
+    print_term,
+    sub,
     substitute,
 )
 
@@ -248,3 +253,66 @@ def test_reconstruct_keeps_generable_bodies():
     body = ite(gt(x, y), x, y)
     out = reconstruct({"f": Lambda((x, y), body)}, g, budget=2)
     assert out["f"].body == body
+
+
+def test_reconstruct_samples_the_target_s_own_variables():
+    # The budget level's sample rows bind every free variable of the
+    # target's normal form, not only the grammar's parameters.
+    g = restricted_grammar()
+    z = ivar("z")
+    body = ite(le(z, IntConst(0)), x, add(x, IntConst(1)))
+    with pytest.raises(ReconstructionFailure):
+        reconstruct({"f": Lambda((x, y), body)}, g, budget=3)
+    body = sub(add(x, IntConst(1), z), z)
+    out = reconstruct({"f": Lambda((x, y), body)}, g, budget=3)
+    assert print_term(out["f"].body) == "(+ 1 x)"
+
+
+# 2x + y + 1: the smallest term the restricted grammar derives with its
+# normal form, (+ (+ x x) (+ y 1)), is at size 3.
+BUDGET_ONLY = add(mul(2, x), y, IntConst(1))
+
+
+def test_reconstruct_keys_the_budget_level_through_terms_upto(monkeypatch):
+    # perfbench times reconstruction's pools by wrapping
+    # Grammar.terms_upto, so the budget level's filtered scan must be a
+    # call of it.
+    calls = []
+    real = Grammar.terms_upto
+
+    def counted(self, max_size, *args, **kwargs):
+        calls.append((max_size, kwargs.get("sample") is not None))
+        return real(self, max_size, *args, **kwargs)
+
+    monkeypatch.setattr(Grammar, "terms_upto", counted)
+    g = restricted_grammar()
+    out = reconstruct({"f": Lambda((x, y), BUDGET_ONLY)}, g, budget=3)
+    assert g.generates(out["f"].body)
+    assert canonical_key(out["f"].body) == canonical_key(BUDGET_ONLY)
+    assert calls == [(0, False), (1, False), (2, False), (3, True)]
+
+
+def test_reconstruct_times_out_in_the_budget_scan(monkeypatch):
+    # The clock passes the deadline as the budget level's scan starts,
+    # so only the scan's own per-candidate checks can notice it.
+    now = SimpleNamespace(value=0.0)
+    monkeypatch.setattr(enumsearch, "time",
+                        SimpleNamespace(monotonic=lambda: now.value))
+    timed_out = []
+    real = Grammar.terms_upto
+
+    def clocked(self, max_size, nt=None, deadline=None, sample=None):
+        if sample is not None:
+            now.value = 2.0
+        try:
+            return real(self, max_size, nt, deadline, sample)
+        except enumsearch.TimedOut:
+            timed_out.append((max_size, sample is not None))
+            raise
+
+    monkeypatch.setattr(Grammar, "terms_upto", clocked)
+    g = restricted_grammar()
+    with pytest.raises(enumsearch.TimedOut):
+        reconstruct({"f": Lambda((x, y), BUDGET_ONLY)}, g, budget=3,
+                    deadline=1.0)
+    assert timed_out == [(3, True)]

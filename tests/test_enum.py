@@ -328,6 +328,34 @@ def test_terms_upto_keeps_one_smallest_term_per_key(name):
             assert term_size(t) == smallest[key], (nt, key)
 
 
+SAMPLE_GRAMMARS = {
+    "max_sym": POOL_GRAMMARS["max_sym"],
+    "between_grammar": POOL_GRAMMARS["between_grammar"],
+    "default_int_int": lambda: default_grammar(FunSort((INT, INT), INT),
+                                               ("x", "y")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_GRAMMARS))
+def test_terms_upto_with_a_sample_keeps_the_matching_terms(name):
+    g = SAMPLE_GRAMMARS[name]()
+    rng = random.Random(5)
+    rows = [{p.name: rng.randint(-5, 5) for p in g.params}
+            for _ in range(6)]
+
+    def values(t):
+        return tuple(evaluate(t, row) for row in rows)
+
+    for nt in g.nonterminals:
+        full = g.terms_upto(3, nt)
+        for t in rng.sample(oracle_terms(g, 3, nt), 5):
+            want = values(t)
+            got = g.terms_upto(3, nt, sample=(rows, want))
+            expected = [(k, u) for k, u in full.items() if values(u) == want]
+            assert expected
+            assert list(got.items()) == expected, (nt, t)
+
+
 def test_candidates_stop_at_the_deadline():
     session = EnumSession(nsi_family())
     with pytest.raises(TimedOut) as exc:
