@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .classify import FirstOrderForm, shared_invocation_tuple
-from .enumsearch import Sample, check_deadline
+from .enumsearch import KeyedPool, Sample, check_deadline
 from .problem import Grammar, SynthProblem, Solution
 from .rewrite import canonical_key, normalize, unit_bound
 from .qfsolver import ResourceLimit, Sat, Unsat, are_equivalent, check_sat
@@ -209,16 +209,6 @@ def extract_solution(trace: InstanceTrace, p: SynthProblem,
 # Reconstruction against a grammar
 
 
-def _smallest_upto(g: Grammar, nt: str, size: int, pool: dict,
-                   deadline: Optional[float]) -> dict[Term, Term]:
-    """Canonical key -> smallest term of ``nt`` up to ``size``, cached
-    in ``pool`` per (nonterminal, size)."""
-    got = pool.get((nt, size))
-    if got is None:
-        got = pool[(nt, size)] = g.terms_upto(size, nt, deadline)
-    return got
-
-
 def _sample(want: Term, g: Grammar) -> Sample:
     """Six fixed rows that bind the grammar's parameters and every free
     variable of ``want``, and ``want``'s values at them. In row i, the
@@ -233,18 +223,20 @@ def _sample(want: Term, g: Grammar) -> Sample:
 
 
 def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
-                pool: dict, deadline: Optional[float] = None) -> Term:
+                pool: KeyedPool, deadline: Optional[float] = None) -> Term:
     """A term ``nt`` derives that is equivalent to ``t``: ``t`` itself,
     else the smallest term with ``t``'s canonical key, else a repair of
     ``t``'s children under its operator, else the first term up to the
     budget, in size order, that the solver proves equivalent.
 
-    Below the budget, every term is keyed, one size level at a time,
-    cached in ``pool``. The call for the budget level returns only the
-    terms whose values at ``_sample``'s rows equal ``t``'s, and keys
-    only those of its own level; the solver sees only them. Equivalent
-    terms agree at every row, so no other term can be the key hit or
-    an equivalent term.
+    The terms come from ``pool``, through ``Grammar.terms_upto``: below
+    the budget, one size level at a time, each level built and keyed
+    once for the whole reconstruction. The call for the budget level
+    computes each candidate's values at ``_sample``'s rows from its
+    children's, and builds and keys only the candidates whose values
+    equal ``t``'s; the solver sees only them. Equivalent terms agree at
+    every row, so no other term can be the key hit or an equivalent
+    term.
     """
     check_deadline(deadline)
     if g.generates(t, nt):
@@ -253,10 +245,11 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
     # match a small term, and the largest level costs the most.
     want = canonical_key(t)
     for size in range(budget):
-        hit = _smallest_upto(g, nt, size, pool, deadline).get(want)
+        hit = g.terms_upto(size, nt, deadline, pool=pool).get(want)
         if hit is not None:
             return hit
-    matching = g.terms_upto(budget, nt, deadline, sample=_sample(want, g))
+    matching = g.terms_upto(budget, nt, deadline, sample=_sample(want, g),
+                            pool=pool)
     hit = matching.get(want)
     if hit is not None:
         return hit
@@ -286,15 +279,28 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
 
 
 def reconstruct(s: Solution, g: Grammar, budget: int = 3,
-                deadline: Optional[float] = None) -> Solution:
+                deadline: Optional[float] = None,
+                stats: Optional[dict] = None) -> Solution:
     """Equivalent solution whose bodies the grammar generates.
+
+    All bodies are reconstructed from one ``KeyedPool`` of ``g``, which
+    grows as the lookups ask for sizes. With ``stats``, the pool's
+    counts are added to its ``recon_keyed`` (terms keyed) and
+    ``recon_scanned`` (budget-level candidates whose values were
+    computed), also when reconstruction fails.
 
     Raises ReconstructionFailure when the size budget is exhausted and
     TimedOut once ``deadline`` passes.
     """
     out: Solution = {}
-    pool: dict = {}
-    for name, lam in s.items():
-        body = _recon_term(lam.body, g.start, g, budget, pool, deadline)
-        out[name] = Lambda(lam.params, body)
+    pool = KeyedPool(g)
+    try:
+        for name, lam in s.items():
+            body = _recon_term(lam.body, g.start, g, budget, pool, deadline)
+            out[name] = Lambda(lam.params, body)
+    finally:
+        if stats is not None:
+            stats["recon_keyed"] = stats.get("recon_keyed", 0) + pool.keyed
+            stats["recon_scanned"] = (stats.get("recon_scanned", 0)
+                                      + pool.scanned)
     return out

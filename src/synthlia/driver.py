@@ -105,6 +105,7 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
         "enumerated": 0, "pruned_rewriter": 0, "pruned_signature": 0,
         "blocked_exact": 0, "retained": 0,
         "cegqi_iterations": 0, "counterexample_points": 0,
+        "recon_keyed": 0, "recon_scanned": 0,
     }
 
     def finish(out: SolveOutput) -> SolveOutput:
@@ -186,7 +187,8 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
                 else:
                     one = reconstruct({f.name: sol[f.name]}, f.grammar,
                                       budget=cfg.recon_budget,
-                                      deadline=recon_deadline)
+                                      deadline=recon_deadline,
+                                      stats=stats)
                     fixed[f.name] = one[f.name]
             sol = fixed
             strategy = "cegqi+reconstruction"

@@ -19,7 +19,9 @@ lead to rather than against every stored pattern.
 
 An input-output example conjecture is decided by evaluating each
 candidate at its points, with no solver call; every other conjecture
-by counterexample-guided checks with the QF solver.
+by counterexample-guided checks with the QF solver. Reconstruction
+reads the same pools through ``KeyedPool``, which keeps the smallest
+term per canonical key.
 """
 
 from __future__ import annotations
@@ -530,27 +532,37 @@ class Pools:
         if got is not None:
             return got
         out: list[tuple[DtValue, Term]] = []
-        for c in self.family.datatype(dtname).constructors:
-            if c.arity() == 0:
-                if size == 0:
+        if size == 0:
+            for c in self.family.datatype(dtname).constructors:
+                if c.arity() == 0:
                     v = DtValue(dtname, c.name)
                     if self.admit(v, c.leaf):
                         out.append((v, c.leaf))
-                continue
-            if size == 0:
+        for c, combos in self.compositions(dtname, size):
+            for combo in combos:
+                v = DtValue(dtname, c.name, tuple(u for u, _ in combo))
+                t = App(c.op, tuple(a for _, a in combo))
+                if self.admit(v, t):
+                    out.append((v, t))
+        self._levels[(dtname, size)] = out
+        return out
+
+    def compositions(self, dtname: str, size: int
+                     ) -> Iterator[tuple[Constructor, Iterator[tuple]]]:
+        """The composed candidates of level ``size`` of ``dtname``, in
+        level order: per operator constructor and size split, the
+        constructor and the product of its children's levels, each
+        child an admitted (value, analog) pair. Empty at size 0."""
+        if size == 0:
+            return
+        for c in self.family.datatype(dtname).constructors:
+            if c.arity() == 0:
                 continue
             for split in _compositions(size - 1, c.arity()):
                 parts = [self.level(d, s)
                          for d, s in zip(c.children, split)]
-                if any(not p for p in parts):
-                    continue
-                for combo in itertools.product(*parts):
-                    v = DtValue(dtname, c.name, tuple(u for u, _ in combo))
-                    t = App(c.op, tuple(a for _, a in combo))
-                    if self.admit(v, t):
-                        out.append((v, t))
-        self._levels[(dtname, size)] = out
-        return out
+                if all(parts):
+                    yield c, itertools.product(*parts)
 
     def upto(self, dtname: str,
              max_size: int) -> Iterator[tuple[DtValue, Term]]:
@@ -569,69 +581,132 @@ def check_deadline(deadline: Optional[float],
 Sample = tuple[list[dict[str, Value]], tuple]  # rows, values at the rows
 
 
-def smallest_terms(g: Grammar, max_size: int, nt: str,
-                   deadline: Optional[float] = None,
-                   sample: Optional[Sample] = None) -> dict[Term, Term]:
-    """Canonical key -> the smallest term ``nt`` derives with that key,
-    over the terms with at most ``max_size`` non-nullary applications.
+class KeyedPool:
+    """One grammar's keyed pool, grown as it is asked for sizes: the
+    grammar is compiled once, on the first call, and each (datatype,
+    size) level is built and keyed once. A value is admitted only when
+    its canonical key is new for its datatype, so each level is
+    composed from one representative per normal form. ``keyed`` counts
+    the terms keyed, ``scanned`` the budget-level candidates whose
+    values a sampled call composed."""
 
-    A value is admitted only when its key is new for its datatype, so
-    each level is composed from one representative per normal form.
-    Every level below ``max_size`` is built before any larger one, so
-    the representative a key keeps is one of its smallest terms.
+    def __init__(self, g: Grammar):
+        self.grammar = g
+        self.keyed = 0
+        self.scanned = 0
+        self._pools: Optional[Pools] = None
+        # Per datatype: canonical key -> term, in level order; and the
+        # number of keys after each built (datatype, size) level.
+        self._keys: dict[str, dict[Term, Term]] = {}
+        self._ends: dict[tuple[str, int], int] = {}
+        self._layers = 0  # sizes below it are built for every datatype
+        # Per row set: the values at the rows of each term of the first
+        # n layers, by the term's id (the levels keep the terms alive).
+        self._vectors: dict[tuple, tuple[dict[int, tuple], int]] = {}
+        self._deadline: Optional[float] = None
 
-    With ``sample`` = ``(rows, vector)``, only the terms whose values
-    at the rows equal ``vector`` are returned. The levels below
-    ``max_size`` are built as without it, and each admitted value's
-    values at the rows are composed once from its children's (a
-    leaf's are evaluated). Then ``nt``'s terms keep only the matching
-    ones, and a value of ``nt``'s level ``max_size`` is keyed only
-    when its values equal ``vector``. Terms with equal keys are
-    equivalent, so they agree at every row: the result is the
-    unfiltered one restricted to the matching terms, in the same
-    order. Every row binds the grammar's parameters.
+    def smallest(self, max_size: int, nt: str,
+                 deadline: Optional[float] = None,
+                 sample: Optional[Sample] = None) -> dict[Term, Term]:
+        """Canonical key -> the smallest term ``nt`` derives with that
+        key, over the terms with at most ``max_size`` non-nullary
+        applications, in level order. Every level below a size is built
+        for every datatype before that size, so the representative a
+        key keeps is one of its smallest terms, and the result does not
+        depend on what earlier calls built.
 
-    Raises TimedOut once ``deadline`` (a time.monotonic() value) passes.
-    """
-    family = grammar_to_datatypes(g)
-    terms: dict[str, dict[Term, Term]] = \
-        {d.name: {} for d in family.datatypes}
-    rows, want = sample if sample is not None else (None, None)
-    # The values at the rows of each admitted analog, by its id: the
-    # pool levels keep every admitted analog alive for the whole build.
-    vectors: dict[int, tuple] = {}
-    filtering = False  # set for nt's level max_size under a sample
+        With ``sample`` = ``(rows, vector)``, only the terms whose values
+        at the rows equal ``vector``. Below ``max_size``, the kept terms'
+        values are composed once from their children's (a leaf's are
+        evaluated) and cached per row set. At ``max_size``, each
+        candidate's values are composed from its children's before any
+        term is built: only a matching candidate becomes an ``App`` and
+        is keyed, and the filtered level is not kept. Terms with equal
+        keys are equivalent, so they agree at every row: the result is
+        the unfiltered one restricted to the matching terms, in the same
+        order. Every row binds the grammar's parameters.
 
-    def vector(t: Term) -> tuple:
-        if isinstance(t, App):
-            return tuple(map(OP_VALUES[t.op],
-                             *[vectors[id(a)] for a in t.args]))
-        return tuple(evaluate(t, row) for row in rows)
+        Raises TimedOut once ``deadline`` (a time.monotonic() value)
+        passes.
+        """
+        self._deadline = deadline
+        if self._pools is None:
+            family = grammar_to_datatypes(self.grammar)
+            self._keys = {d.name: {} for d in family.datatypes}
+            self._pools = Pools(family, self._admit)
+        keys = self._keys[nt]
+        if sample is None:
+            self._complete(max_size)
+            self._level(nt, max_size)
+            return dict(itertools.islice(keys.items(),
+                                         self._ends[(nt, max_size)]))
+        rows, want = sample
+        # Size 0 holds only leaves: they are filtered like the levels
+        # below the budget, and nothing is composed at it.
+        self._complete(max(max_size, 1))
+        vectors = self._vectors_at(rows)
+        below = self._ends[(nt, max(max_size - 1, 0))]
+        out = {key: t for key, t in itertools.islice(keys.items(), below)
+               if vectors[id(t)] == want}
+        for c, combos in self._pools.compositions(nt, max_size):
+            values = OP_VALUES[c.op]
+            for combo in combos:
+                check_deadline(deadline)
+                self.scanned += 1
+                if tuple(map(values, *[vectors[id(a)]
+                                       for _, a in combo])) != want:
+                    continue
+                t = App(c.op, tuple(a for _, a in combo))
+                self.keyed += 1
+                out.setdefault(canonical_key(t), t)
+        return out
 
-    def admit(v: DtValue, t: Term) -> bool:
-        check_deadline(deadline)
-        if filtering and vector(t) != want:
-            return False
+    def _admit(self, v: DtValue, t: Term) -> bool:
+        check_deadline(self._deadline)
+        self.keyed += 1
         key = canonical_key(t)
-        seen = terms[v.dtype]
+        seen = self._keys[v.dtype]
         if key in seen:
             return False
         seen[key] = t
-        if rows is not None:
-            vectors[id(t)] = vector(t)
         return True
 
-    pools = Pools(family, admit)
-    for size in range(max_size):
-        for d in family.datatypes:
-            pools.level(d.name, size)
-    if rows is not None:
-        # A key dropped here cannot come back: its terms do not match.
-        terms[nt] = {key: t for key, t in terms[nt].items()
-                     if vectors[id(t)] == want}
-        filtering = True
-    pools.level(nt, max_size)
-    return terms[nt]
+    def _level(self, dtname: str, size: int) -> None:
+        if (dtname, size) in self._ends:
+            return
+        keys = self._keys[dtname]
+        mark = len(keys)
+        try:
+            self._pools.level(dtname, size)
+        except BaseException:
+            # A level the deadline cut short leaves no keys behind.
+            for key in list(keys)[mark:]:
+                del keys[key]
+            raise
+        self._ends[(dtname, size)] = len(keys)
+
+    def _complete(self, layers: int) -> None:
+        for size in range(self._layers, layers):
+            for d in self._pools.family.datatypes:
+                self._level(d.name, size)
+            self._layers = size + 1
+
+    def _vectors_at(self, rows: list[dict[str, Value]]) -> dict[int, tuple]:
+        # Grammar terms mention no variable but the parameters, so rows
+        # that agree on them share one table.
+        row_set = tuple(tuple(row.get(p.name) for p in self.grammar.params)
+                        for row in rows)
+        vectors, done = self._vectors.get(row_set, ({}, 0))
+        for size in range(done, self._layers):
+            for d in self._pools.family.datatypes:
+                for _, t in self._pools.level(d.name, size):
+                    vectors[id(t)] = (
+                        tuple(map(OP_VALUES[t.op],
+                                  *[vectors[id(a)] for a in t.args]))
+                        if size else
+                        tuple(evaluate(t, row) for row in rows))
+        self._vectors[row_set] = (vectors, self._layers)
+        return vectors
 
 
 # ---------------------------------------------------------------------------

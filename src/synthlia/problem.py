@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .terms import (
     BOOL,
@@ -22,6 +22,9 @@ from .terms import (
     uf_names,
     well_sorted,
 )
+
+if TYPE_CHECKING:
+    from .enumsearch import KeyedPool
 
 
 class GrammarError(Exception):
@@ -133,19 +136,26 @@ class Grammar:
 
     def terms_upto(self, max_size: int, nt: Optional[str] = None,
                    deadline: Optional[float] = None,
-                   sample: Optional[tuple] = None) -> dict[Term, Term]:
+                   sample: Optional[tuple] = None, *,
+                   pool: Optional[KeyedPool] = None) -> dict[Term, Term]:
         """Canonical key -> the smallest term ``nt`` (default s0) derives
         with that key, over the terms with at most ``max_size`` non-nullary
         applications. With ``sample`` = ``(rows, vector)``, only the terms
         whose values at the rows (variable name -> value maps) equal
-        ``vector``; see ``enumsearch.smallest_terms``."""
-        # A thin call into the search's pool builder. It stays a method
-        # of Grammar because perfbench/tracing.py times reconstruction's
-        # pool under this name; enumsearch imports this module, hence
-        # the local import.
-        from .enumsearch import smallest_terms
-        return smallest_terms(self, max_size, nt or self.start, deadline,
-                              sample)
+        ``vector``. ``pool`` is an ``enumsearch.KeyedPool`` of this
+        grammar that keeps the levels it builds for later calls, or None
+        for a fresh one; the result is the same either way. See
+        ``KeyedPool.smallest``."""
+        # The one entry point to reconstruction's pool: a thin call that
+        # carries the caller's pool. It stays a method of Grammar because
+        # perfbench/tracing.py times reconstruction's pool under this
+        # name; enumsearch imports this module, hence the local import.
+        from .enumsearch import KeyedPool
+        if pool is None:
+            pool = KeyedPool(self)
+        elif pool.grammar is not self:
+            raise ValueError("the pool belongs to another grammar")
+        return pool.smallest(max_size, nt or self.start, deadline, sample)
 
 
 @dataclass(frozen=True)

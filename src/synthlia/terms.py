@@ -267,7 +267,7 @@ def well_sorted(t: Term) -> bool:
 
 # Each builtin operator's value from its arguments' values: the one
 # statement of the operators' meaning. ``evaluate`` applies it, and
-# ``enumsearch.smallest_terms`` composes a term's values at sample points
+# ``enumsearch.KeyedPool`` composes a term's values at sample points
 # from its children's with it.
 OP_VALUES: dict[str, Callable[..., Value]] = {
     "+": lambda *vals: sum(vals),

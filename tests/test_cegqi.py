@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -44,7 +45,7 @@ from synthlia.terms import (
     substitute,
 )
 
-from helpers import load_golden, random_bool_term
+from helpers import load_golden, random_bool_term, term_size
 
 x, y = ivar("x"), ivar("y")
 
@@ -301,11 +302,12 @@ def test_reconstruct_times_out_in_the_budget_scan(monkeypatch):
     timed_out = []
     real = Grammar.terms_upto
 
-    def clocked(self, max_size, nt=None, deadline=None, sample=None):
+    def clocked(self, max_size, nt=None, deadline=None, sample=None, *,
+                pool=None):
         if sample is not None:
             now.value = 2.0
         try:
-            return real(self, max_size, nt, deadline, sample)
+            return real(self, max_size, nt, deadline, sample, pool=pool)
         except enumsearch.TimedOut:
             timed_out.append((max_size, sample is not None))
             raise
@@ -316,3 +318,29 @@ def test_reconstruct_times_out_in_the_budget_scan(monkeypatch):
         reconstruct({"f": Lambda((x, y), BUDGET_ONLY)}, g, budget=3,
                     deadline=1.0)
     assert timed_out == [(3, True)]
+
+
+def test_reconstruct_builds_each_level_once(monkeypatch):
+    # The four terms_upto calls share one pool: the grammar is compiled
+    # once, and each value below the budget is keyed once.
+    compiled = []
+    keyed = Counter()
+    real_compile = enumsearch.grammar_to_datatypes
+    real_key = enumsearch.canonical_key
+
+    def compile_(g):
+        compiled.append(g)
+        return real_compile(g)
+
+    def key(t):
+        keyed[t] += 1
+        return real_key(t)
+
+    monkeypatch.setattr(enumsearch, "grammar_to_datatypes", compile_)
+    monkeypatch.setattr(enumsearch, "canonical_key", key)
+    g = restricted_grammar()
+    reconstruct({"f": Lambda((x, y), BUDGET_ONLY)}, g, budget=3)
+    assert compiled == [g]
+    below = [n for t, n in keyed.items() if term_size(t) < 3]
+    assert len(below) > 100
+    assert set(below) == {1}

@@ -1,5 +1,7 @@
+import itertools
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +13,7 @@ from synthlia.enumsearch import (
     DtValue,
     EnumSession,
     Exhausted,
+    KeyedPool,
     PatternIndex,
     Pools,
     RewriterDup,
@@ -354,6 +357,44 @@ def test_terms_upto_with_a_sample_keeps_the_matching_terms(name):
             expected = [(k, u) for k, u in full.items() if values(u) == want]
             assert expected
             assert list(got.items()) == expected, (nt, t)
+
+
+@pytest.mark.parametrize("name", sorted(POOL_GRAMMARS))
+def test_a_shared_pool_answers_as_fresh_calls_do(name):
+    # One pool serves every nonterminal, asked for sizes out of order,
+    # with sampled budget levels in between; each answer must be the
+    # fresh call's, in the same order.
+    g = POOL_GRAMMARS[name]()
+    rng = random.Random(5)
+    rows = [{p.name: rng.randint(-5, 5) for p in g.params}
+            for _ in range(6)]
+    per_nt = []
+    for nt in g.nonterminals:
+        a, b = (tuple(evaluate(t, row) for row in rows)
+                for t in rng.sample(oracle_terms(g, 3, nt), 2))
+        per_nt.append([(nt, 3, (rows, a)), (nt, 1, None), (nt, 3, None),
+                       (nt, 0, None), (nt, 3, (rows, b)), (nt, 2, None)])
+    pool = KeyedPool(g)
+    for step in zip(*per_nt):
+        for nt, size, sample in step:
+            got = g.terms_upto(size, nt, sample=sample, pool=pool)
+            fresh = g.terms_upto(size, nt, sample=sample)
+            assert list(got.items()) == list(fresh.items()), (nt, size)
+
+
+def test_a_pool_cut_short_by_the_deadline_answers_as_a_fresh_one(
+        monkeypatch):
+    # The clock ticks once per deadline check, so the first call stops
+    # inside a level; the keys it admitted there must not stay behind.
+    ticks = itertools.count()
+    monkeypatch.setattr(enumsearch, "time",
+                        SimpleNamespace(monotonic=lambda: next(ticks)))
+    g = POOL_GRAMMARS["between_grammar"]()
+    pool = KeyedPool(g)
+    with pytest.raises(TimedOut):
+        g.terms_upto(3, deadline=40, pool=pool)
+    assert list(g.terms_upto(3, pool=pool).items()) == \
+        list(g.terms_upto(3).items())
 
 
 def test_candidates_stop_at_the_deadline():

@@ -372,6 +372,20 @@ def test_cli_stats_on_stderr(capsys):
     assert "wall_time=" in captured.err
 
 
+def test_cli_stats_count_reconstruction_s_work(capsys):
+    # The portfolio keys fewer terms than its budget-level scan looks
+    # at: the scan keys only the candidates whose values match.
+    rc = cli_main([str(GOLDEN / "between_grammar.sy"), "--stats"])
+    stats = dict(line.split("=", 1)
+                 for line in capsys.readouterr().err.splitlines())
+    assert rc == 0
+    assert stats["strategy"] == "cegqi+reconstruction"
+    assert 0 < int(stats["recon_keyed"]) < int(stats["recon_scanned"])
+    for name in ("between.sy", "max_sym.sy"):  # cegqi and enum routes
+        out = solve(load_golden(name))
+        assert out.stats["recon_keyed"] == out.stats["recon_scanned"] == 0
+
+
 def test_cli_trace_on_stderr(capsys):
     rc = cli_main([str(GOLDEN / "max_sym.sy"), "--trace"])
     lines = capsys.readouterr().err.splitlines()
