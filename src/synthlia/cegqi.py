@@ -17,7 +17,14 @@ from .classify import FirstOrderForm, shared_invocation_tuple
 from .enumsearch import KeyedPool, Sample, check_deadline
 from .problem import Grammar, SynthProblem, Solution
 from .rewrite import canonical_key, normalize, unit_bound
-from .qfsolver import ResourceLimit, Sat, Unsat, are_equivalent, check_sat
+from .qfsolver import (
+    Conflicts,
+    ResourceLimit,
+    Sat,
+    Unsat,
+    are_equivalent,
+    check_sat,
+)
 from .terms import (
     INT,
     App,
@@ -145,31 +152,45 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
 
 
 def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64,
-                deadline: Optional[float] = None):
+                deadline: Optional[float] = None,
+                stats: Optional[dict] = None):
     """Run the instantiation loop; returns Solved or GaveUp.
 
     The result carries the instance trace; the solution itself is left
     for ``extract_solution`` since it needs the problem for parameter
     naming. Raises TimedOut once ``deadline`` (a time.monotonic() value)
     has passed at the start of an iteration.
+
+    All solver calls of the loop share one ``Conflicts`` store. With
+    ``stats``, its counts are added to ``cegqi_conflicts`` (conflicts
+    learned) and ``cegqi_pruned`` (branches they cut), also when the
+    loop gives up or times out.
     """
     instances: list[tuple[Term, ...]] = []
+    conflicts = Conflicts()
     try:
-        return _cegqi_loop(fo, instances, max_iters, deadline)
+        return _cegqi_loop(fo, instances, max_iters, deadline, conflicts)
     except ResourceLimit:
         return GaveUp("resource-limit", InstanceTrace(tuple(instances)))
+    finally:
+        if stats is not None:
+            stats["cegqi_conflicts"] = (stats.get("cegqi_conflicts", 0)
+                                        + conflicts.learned)
+            stats["cegqi_pruned"] = (stats.get("cegqi_pruned", 0)
+                                     + conflicts.pruned)
 
 
-def _cegqi_loop(fo: FirstOrderForm, instances, max_iters, deadline):
+def _cegqi_loop(fo: FirstOrderForm, instances, max_iters, deadline,
+                conflicts: Conflicts):
     kvars = fo.instvars
     pos_body = normalize(fo.pos_body)
     gamma: list[Term] = []  # the normalized instances
     while True:
         check_deadline(deadline)
-        core = check_sat(and_(*gamma)) if gamma else Sat({})
+        core = check_sat(and_(*gamma), conflicts) if gamma else Sat({})
         if isinstance(core, Unsat):
             return Solved(InstanceTrace(tuple(instances)))
-        full = check_sat(and_(*gamma, pos_body))
+        full = check_sat(and_(*gamma, pos_body), conflicts)
         if isinstance(full, Unsat):
             return GaveUp("infeasible", InstanceTrace(tuple(instances)))
         if len(instances) >= max_iters:

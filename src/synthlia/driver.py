@@ -106,6 +106,7 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
         "blocked_exact": 0, "retained": 0,
         "cegqi_iterations": 0, "counterexample_points": 0,
         "recon_keyed": 0, "recon_scanned": 0,
+        "cegqi_conflicts": 0, "cegqi_pruned": 0,
     }
 
     def finish(out: SolveOutput) -> SolveOutput:
@@ -171,7 +172,8 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
     if isinstance(cls, NonSingleInvocation):
         return "not-single-invocation"
     fo = to_first_order(q)
-    res = solve_cegqi(fo, max_iters=cfg.max_iters, deadline=deadline)
+    res = solve_cegqi(fo, max_iters=cfg.max_iters, deadline=deadline,
+                      stats=stats)
     stats["cegqi_iterations"] = len(res.trace.instances)
     if isinstance(res, CegqiGaveUp):
         _trace(cfg, f"cegqi gave up: {res.reason}")
@@ -195,9 +197,10 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
         except (ReconstructionFailure, ResourceLimit, TimedOut):
             _trace(cfg, "reconstruction failed within budget")
             return "reconstruction-failed"
-    if cfg.verify and not verify_solution(orig, sol):
-        _trace(cfg, "cegqi solution failed verification")
-        return "verification-failed"
+    failed = _verify_failure(orig, sol) if cfg.verify else None
+    if failed is not None:
+        _trace(cfg, f"cegqi solution failed verification: {failed}")
+        return failed
     return Success(sol, strategy, stats)
 
 
@@ -213,9 +216,21 @@ def _run_enum(orig: SynthProblem, q: SynthProblem, cfg: SolverConfig,
                              sb_examples=cfg.sb_examples,
                              trace=cfg.trace, deadline=deadline)
     _enum_counts(stats, estats)
-    if cfg.verify and not verify_solution(orig, sol):
-        return GaveUp("verification-failed", stats)
+    failed = _verify_failure(orig, sol) if cfg.verify else None
+    if failed is not None:
+        return GaveUp(failed, stats)
     return Success(sol, "enum", stats)
+
+
+def _verify_failure(orig: SynthProblem, sol: Solution) -> Optional[str]:
+    """None when ``sol`` verifies, else the reason it does not: a
+    verification that runs out of its solver budget is a give-up of
+    the route, not of the whole solve."""
+    try:
+        ok = verify_solution(orig, sol)
+    except ResourceLimit:
+        return "verification-resource-limit"
+    return None if ok else "verification-failed"
 
 
 def _enum_counts(stats: dict, estats: EnumStats) -> None:

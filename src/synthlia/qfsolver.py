@@ -20,6 +20,16 @@ at the cost of one propositional step. So every atom is over the
 formula's own variables: ``d <= 0`` or ``d = 0`` over the linear form
 ``rewrite.atom_diff`` gives the comparison, the same form the rewriter
 normalizes it to.
+
+Theory conflicts are learned and kept (Nieuwenhuis, Oliveras, Tinelli,
+"Solving SAT and SAT Modulo Theories", JACM 2006). When the omega test
+refutes a leaf, the leaf's arithmetic literals are recorded in a
+``Conflicts`` store, and the search skips every branch whose literal
+would complete a recorded conflict. Calls that share a store, as the
+CEGQI loop's do, skip what earlier calls refuted. Only branches with
+no feasible leaf are cut, and nothing is propagated: the decisions,
+their order and the first feasible leaf stay the same, so a shared
+store never changes a model.
 """
 
 from __future__ import annotations
@@ -310,15 +320,64 @@ def _lift_ite(t: App) -> Optional[tuple]:
     return None
 
 
+class Conflicts:
+    """Theory conflicts learned by the ``check_sat`` calls that share
+    this store: conjunctions of arithmetic literals that the omega test
+    refuted.
+
+    Each atom key ``(kind, payload)`` gets an id fixed for the store,
+    and the literal that sets atom ``i`` to ``v`` is bit ``2 * i + v``.
+    A conflict is the mask of its literals' bits, listed under each of
+    those bits. ``pruned`` counts the branches a conflict cut.
+    """
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.by_bit: dict[int, list[int]] = {}
+        self.masks: set[int] = set()
+        self.pruned = 0
+
+    @property
+    def learned(self) -> int:
+        return len(self.masks)
+
+    def atom_id(self, key) -> int:
+        got = self.ids.get(key)
+        if got is None:
+            got = self.ids[key] = len(self.ids)
+        return got
+
+    def add(self, mask: int) -> None:
+        if mask in self.masks:
+            return
+        self.masks.add(mask)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            self.by_bit.setdefault(low.bit_length() - 1, []).append(mask)
+            rest ^= low
+
+    def completes(self, bit: int, cur: int) -> bool:
+        """Whether ``cur``, which holds literal ``bit``, holds all of a
+        conflict that contains it; a true answer counts as a prune."""
+        for m in self.by_bit.get(bit, ()):
+            if m & cur == m:
+                self.pruned += 1
+                return True
+        return False
+
+
 @dataclass(frozen=True)
 class _Atom:
     kind: str          # "le" (expr <= 0), "eq" (expr == 0), "bvar"
     expr: tuple        # frozen LinExpr or variable name
+    bit: int           # the store bit of its false literal; +1 is true
 
 
 class _Checker:
-    def __init__(self, f: Term):
+    def __init__(self, f: Term, conflicts: Conflicts):
         self.budget = STEP_BUDGET
+        self.conflicts = conflicts
         self.atoms: list[_Atom] = []
         self.atom_ids: dict = {}
         # condition -> its node: every lift path of an Int ite repeats
@@ -328,10 +387,13 @@ class _Checker:
 
     # boolean AST: True/False, int atom index, ("not", n), ("and"/"or", tuple)
     def _atom(self, kind: str, payload) -> int:
+        # Atoms are decided in the order of their per-call index, which
+        # picks the models; the store id only names their literals.
         key = (kind, payload)
         if key not in self.atom_ids:
             self.atom_ids[key] = len(self.atoms)
-            self.atoms.append(_Atom(kind, payload))
+            bit = 2 * self.conflicts.atom_id(key)
+            self.atoms.append(_Atom(kind, payload, bit))
         return self.atom_ids[key]
 
     def _build(self, t: Term):
@@ -379,7 +441,7 @@ class _Checker:
 
     def check(self) -> SatResult:
         lits: dict[int, bool] = {}
-        model = self._dpll(self.root, lits)
+        model = self._dpll(self.root, lits, 0)
         if model is None:
             return UNSAT
         return Sat(model)
@@ -418,16 +480,24 @@ class _Checker:
         if self.budget <= 0:
             raise ResourceLimit("propositional search budget exceeded")
 
-    def _dpll(self, node, lits) -> Optional[Assignment]:
+    def _dpll(self, node, lits, cur: int) -> Optional[Assignment]:
+        """The first model below ``lits``; ``cur`` is the mask of their
+        store bits. A branch that completes a learned conflict is
+        skipped: no leaf below it is feasible."""
         self._charge(1)
         node, a = self._simplify(node, lits)
         if node is False:
             return None
         if node is True:
             return self._theory_model(lits)
+        bit = self.atoms[a].bit
         for val in (True, False):
+            b = bit + val
+            nxt = cur | (1 << b)
+            if self.conflicts.completes(b, nxt):
+                continue
             lits[a] = val
-            m = self._dpll(node, lits)
+            m = self._dpll(node, lits, nxt)
             if m is not None:
                 return m
             del lits[a]
@@ -438,11 +508,13 @@ class _Checker:
         ineqs: list[LinExpr] = []
         diseqs: list[LinExpr] = []
         bools: dict[str, bool] = {}
+        conflict = 0
         for idx, val in lits.items():
             atom = self.atoms[idx]
             if atom.kind == "bvar":
                 bools[atom.expr] = val
                 continue
+            conflict |= 1 << (atom.bit + val)
             items, const = atom.expr
             e = (dict(items), const)
             if atom.kind == "le":
@@ -455,7 +527,10 @@ class _Checker:
                     eqs.append(e)
                 else:
                     diseqs.append(e)
-        return self._with_diseqs(eqs, ineqs, diseqs, bools)
+        m = self._with_diseqs(eqs, ineqs, diseqs, bools)
+        if m is None:
+            self.conflicts.add(conflict)
+        return m
 
     def _with_diseqs(self, eqs, ineqs, diseqs, bools) -> Optional[Assignment]:
         # Split on demand: solve without the disequalities, then split
@@ -500,14 +575,22 @@ def _negate_ge(e: LinExpr) -> LinExpr:
 # Public interface
 
 
-def check_sat(f: Term) -> SatResult:
+def check_sat(f: Term, conflicts: Optional[Conflicts] = None) -> SatResult:
     """Decide satisfiability of a ground formula; free variables are
-    treated as existential and a satisfying assignment is returned."""
+    treated as existential and a satisfying assignment is returned.
+
+    The theory conflicts the search learns go into ``conflicts``, and
+    the search skips the branches that any conflict in it refutes.
+    Calls that share a store return the same results as calls that do
+    not; they only take fewer steps. Without a store the call learns
+    into one of its own."""
     if sort_of(f) != BOOL:
         raise SortError("check_sat expects a boolean formula")
     if uf_names(f):
         raise SortError("check_sat cannot handle unknown functions")
-    result = _Checker(f).check()
+    if conflicts is None:
+        conflicts = Conflicts()
+    result = _Checker(f, conflicts).check()
     if isinstance(result, Sat):
         # Total model over the formula's variables.
         model = dict(result.model)

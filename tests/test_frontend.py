@@ -3,10 +3,13 @@ import time
 
 import pytest
 
+import synthlia.cegqi
+import synthlia.driver
 from synthlia.cli import main as cli_main
 from synthlia.driver import GaveUp, SolverConfig, Success, solve, \
     verify_solution
 from synthlia.problem import apply_solution
+from synthlia.qfsolver import ResourceLimit
 from synthlia.rewrite import canonical_key
 from synthlia.sygus import (
     ParseError,
@@ -342,6 +345,73 @@ def test_verify_accepts_cegqi_answers_past_the_old_failure_boundary(text):
     assert out.strategy == "cegqi"
 
 
+MAX6 = """
+    (set-logic LIA)
+    (synth-fun f ((a Int) (b Int) (c Int) (d Int) (e Int) (g Int)) Int)
+    (declare-var a Int)
+    (declare-var b Int)
+    (declare-var c Int)
+    (declare-var d Int)
+    (declare-var e Int)
+    (declare-var g Int)
+    (constraint (>= (f a b c d e g) a))
+    (constraint (>= (f a b c d e g) b))
+    (constraint (>= (f a b c d e g) c))
+    (constraint (>= (f a b c d e g) d))
+    (constraint (>= (f a b c d e g) e))
+    (constraint (>= (f a b c d e g) g))
+    (constraint (or (= (f a b c d e g) a) (= (f a b c d e g) b)
+                    (= (f a b c d e g) c) (= (f a b c d e g) d)
+                    (= (f a b c d e g) e) (= (f a b c d e g) g)))
+    (check-synth)"""
+
+
+def test_learned_conflicts_move_the_failure_boundary_to_max_over_6():
+    # Each check_sat call of the CEGQI loop searched from scratch, and
+    # one of them ran out of its step budget: resource-limit.
+    p = parse_problem(MAX6)
+    out = solve(p, SolverConfig())
+    assert isinstance(out, Success), getattr(out, "reason", None)
+    assert out.strategy == "cegqi"
+    spec = apply_solution(p, out.solution)
+    names = [u.name for u in p.universals]
+    for point in itertools.product(range(-2, 3), repeat=len(names)):
+        assert evaluate(spec, dict(zip(names, point))), point
+    # The one validity check of that answer still runs out.
+    out = solve(p, SolverConfig(verify=True))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "cegqi-failed(verification-resource-limit)"
+
+
+def _out_of_budget(f):
+    raise ResourceLimit("propositional search budget exceeded")
+
+
+def test_a_verification_that_runs_out_gives_up_the_route(monkeypatch):
+    monkeypatch.setattr(synthlia.driver, "check_valid", _out_of_budget)
+    out = solve(load_golden("between.sy"), SolverConfig(verify=True))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "cegqi-failed(verification-resource-limit)"
+    out = solve(load_golden("max_sym.sy"), SolverConfig(verify=True))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "verification-resource-limit"
+
+
+def test_portfolio_falls_back_when_verification_runs_out(monkeypatch):
+    real = synthlia.driver.check_valid
+    calls = []
+
+    def first_runs_out(f):
+        calls.append(f)
+        return _out_of_budget(f) if len(calls) == 1 else real(f)
+
+    monkeypatch.setattr(synthlia.driver, "check_valid", first_runs_out)
+    out = solve(load_golden("between_grammar.sy"), SolverConfig(verify=True))
+    assert isinstance(out, Success), getattr(out, "reason", None)
+    assert out.strategy == "enum"
+    assert len(calls) == 2
+
+
 def test_verify_solution_rejects_wrong_and_ungenerable():
     p = load_golden("between.sy")
     assert not verify_solution(p, {"f": Lambda((x, y), x)})
@@ -384,6 +454,41 @@ def test_cli_stats_count_reconstruction_s_work(capsys):
     for name in ("between.sy", "max_sym.sy"):  # cegqi and enum routes
         out = solve(load_golden(name))
         assert out.stats["recon_keyed"] == out.stats["recon_scanned"] == 0
+
+
+def test_cli_stats_count_the_cegqi_loop_s_learned_conflicts(tmp_path,
+                                                            capsys):
+    path = tmp_path / "max5.sy"
+    path.write_text(MAX5)
+    rc = cli_main([str(path), "--stats"])
+    stats = dict(line.split("=", 1)
+                 for line in capsys.readouterr().err.splitlines())
+    assert rc == 0
+    assert stats["strategy"] == "cegqi"
+    assert int(stats["cegqi_conflicts"]) > 0
+    assert int(stats["cegqi_pruned"]) > 0
+    out = solve(load_golden("max_sym.sy"))
+    assert out.strategy == "enum"
+    assert out.stats["cegqi_conflicts"] == out.stats["cegqi_pruned"] == 0
+
+
+def test_stats_keep_the_conflicts_of_a_loop_that_runs_out(monkeypatch):
+    # MAX5's loop makes 10 solver calls; the 9th runs out here.
+    real = synthlia.cegqi.check_sat
+    calls = []
+
+    def ninth_runs_out(f, conflicts=None):
+        calls.append(f)
+        if len(calls) == 9:
+            raise ResourceLimit("propositional search budget exceeded")
+        return real(f, conflicts)
+
+    monkeypatch.setattr(synthlia.cegqi, "check_sat", ninth_runs_out)
+    out = solve(parse_problem(MAX5))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "cegqi-failed(resource-limit)"
+    assert out.stats["cegqi_conflicts"] > 0
+    assert out.stats["cegqi_pruned"] > 0
 
 
 def test_cli_trace_on_stderr(capsys):

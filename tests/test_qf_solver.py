@@ -1,7 +1,7 @@
 import random
 
-from synthlia.qfsolver import Sat, Unsat, are_equivalent, check_sat, \
-    check_valid
+from synthlia.qfsolver import Conflicts, Sat, Unsat, are_equivalent, \
+    check_sat, check_valid
 from synthlia.rewrite import normalize
 from synthlia.terms import (
     BoolConst,
@@ -125,3 +125,24 @@ def test_trivial_formulas():
     assert isinstance(check_sat(BoolConst(True)), Sat)
     assert isinstance(check_sat(BoolConst(False)), Unsat)
     assert isinstance(check_sat(eq(sub(x, x), IntConst(0))), Sat)
+
+
+def test_a_shared_conflict_store_never_changes_an_answer():
+    # As in the CEGQI loop, each call conjoins one more formula to the
+    # previous call's, and the calls of one sequence share a store.
+    rng = random.Random(23)
+    calls = pruned = 0
+    for _ in range(40):
+        store = Conflicts()
+        parts = []
+        for _ in range(6):
+            parts.append(random_bool_term(rng, depth=rng.randint(1, 3)))
+            f = normalize(and_(*parts))
+            shared, fresh = check_sat(f, store), check_sat(f)
+            assert type(shared) is type(fresh), f
+            if isinstance(fresh, Sat):
+                assert shared.model == fresh.model, f
+            calls += 1
+        pruned += store.pruned
+    assert calls == 240
+    assert pruned > 0
