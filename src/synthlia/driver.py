@@ -2,8 +2,8 @@
 
 Input-output example conjectures with a grammar go to enumeration with
 example-based pruning, and are decided by evaluating each candidate at
-their points, with no solver call; every blocking pattern the
-enumeration uses is learned from a candidate it pruned.
+their points, with no solver call; the enumeration admits a candidate
+by its canonical key and example signature alone.
 Single-invocation conjectures without syntactic restrictions go to
 quantifier instantiation; restricted single-invocation conjectures get
 the portfolio (instantiate, then reconstruct the solution against the
@@ -103,6 +103,9 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
     deadline = t0 + cfg.timeout if cfg.timeout is not None else None
     stats: dict = {
         "enumerated": 0, "pruned_rewriter": 0, "pruned_signature": 0,
+        # Always 0: the enumeration keeps no blocking patterns. The key
+        # stays because perfbench/run.py reads it, and
+        # tests/test_stats_keys.py pins what run.py reads.
         "blocked_exact": 0, "retained": 0,
         "cegqi_iterations": 0, "counterexample_points": 0,
         "recon_keyed": 0, "recon_scanned": 0,
@@ -238,5 +241,4 @@ def _enum_counts(stats: dict, estats: EnumStats) -> None:
                  retained=estats.retained,
                  pruned_rewriter=estats.pruned_rewriter,
                  pruned_signature=estats.pruned_signature,
-                 blocked_exact=estats.blocked_exact,
                  counterexample_points=estats.counterexample_points)

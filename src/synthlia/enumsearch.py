@@ -3,25 +3,25 @@
 Grammars are compiled into families of algebraic datatypes (flattening
 non-atomic productions through auxiliary single-constructor datatypes
 and dropping rules made redundant by the rewriter). Candidate solutions
-are datatype values enumerated in order of non-nullary constructor
-count, each together with its analog term, which is built once from
-its children's analogs; candidates are simplified and evaluated
-through that term. Duplicate candidates — same simplified analog, or
-same evaluation of the analog on the conjecture's example points — are
-pruned and turned into blocking patterns, the explicit-store
-counterpart of symmetry-breaking clauses. Every pattern is learned
-from such a pruned candidate: it is generalized by replacing subtrees
-with fresh annotated variables whenever the justification for the
-pruning does not depend on them. The store indexes them in a trie per
-datatype over their sorted (selector path, constructor) constraints,
-so a candidate is checked against the patterns its own constructors
-lead to rather than against every stored pattern.
+are datatype values enumerated bottom-up in order of non-nullary
+constructor count, each together with its analog term, which is built
+once from its children's analogs; candidates are simplified and
+evaluated through that term. A candidate joins its level only when its
+canonical key (simplified analog) is new for its datatype, and, on an
+example conjecture, its signature (evaluation of the analog at the
+example points) is new too. Levels are composed from retained values
+only, so these two tests are the whole of the symmetry breaking: any
+candidate a learned blocking pattern would exclude is already a key or
+signature duplicate of a retained one.
 
 An input-output example conjecture is decided by evaluating each
-candidate at its points, with no solver call; every other conjecture
-by counterexample-guided checks with the QF solver. Reconstruction
-reads the same pools through ``KeyedPool``, which keeps the smallest
-term per canonical key.
+candidate at its points, with no solver call. Every other conjecture is
+decided by counterexample-guided checks: a candidate is first evaluated
+at the counterexample points under the interpretation of the unknown
+function by the candidate, and only one that holds at all of them is
+substituted into the conjecture and handed to the QF solver.
+Reconstruction reads the same pools through ``KeyedPool``, which keeps
+the smallest term per canonical key.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .classify import IOExamples, classify
 from .problem import (
@@ -307,6 +307,7 @@ def signature_of(analog: Term, family: DatatypeFamily,
 # ---------------------------------------------------------------------------
 # Blocking patterns
 
+# Unused by the search: kept while the benchmark's tracer wraps them.
 SelectorPath = tuple[tuple[str, int], ...]  # (child datatype, n-th), 1-based
 
 
@@ -344,59 +345,6 @@ def pattern_matches(p: BlockingPattern, v: DtValue) -> bool:
         if node is None or node.ctor != cname:
             return False
     return True
-
-
-class _TrieNode:
-    __slots__ = ("pattern", "edges")
-
-    def __init__(self):
-        self.pattern: Optional[BlockingPattern] = None
-        # selector path -> constructor -> next node
-        self.edges: dict[SelectorPath, dict[str, _TrieNode]] = {}
-
-
-class PatternIndex:
-    """The blocking-pattern store: one trie per anchor datatype, each
-    pattern stored along its constraints sorted by (path length, path,
-    constructor), so the root constraint comes first. A candidate walks
-    only the edges its own nodes satisfy, so the cost of ``blocks``
-    follows the candidate's shape, not the number of stored patterns."""
-
-    def __init__(self, patterns: Iterable[BlockingPattern] = ()):
-        self._roots: dict[str, _TrieNode] = {}
-        for p in patterns:
-            self.add(p)
-
-    def add(self, p: BlockingPattern) -> None:
-        node = self._roots.setdefault(p.anchor, _TrieNode())
-        for path, cname in sorted(p.constraints,
-                                  key=lambda pc: (len(pc[0]),) + pc):
-            node = node.edges.setdefault(path, {}).setdefault(
-                cname, _TrieNode())
-        if node.pattern is None:
-            node.pattern = p
-
-    def blocks(self, v: DtValue) -> bool:
-        root = self._roots.get(v.dtype)
-        if root is None:
-            return False
-        resolved: dict[SelectorPath, Optional[DtValue]] = {}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.pattern is not None:
-                # Every constraint held on the way here.
-                return pattern_matches(node.pattern, v)
-            for path, by_ctor in node.edges.items():
-                if path in resolved:
-                    u = resolved[path]
-                else:
-                    u = resolved[path] = _resolve(v, path)
-                if u is not None:
-                    nxt = by_ctor.get(u.ctor)
-                    if nxt is not None:
-                        stack.append(nxt)
-        return False
 
 
 def _node_paths(v: DtValue) -> list[tuple[SelectorPath, DtValue]]:
@@ -719,20 +667,20 @@ class EnumStats:
     retained: int = 0
     pruned_rewriter: int = 0
     pruned_signature: int = 0
-    blocked_exact: int = 0
     counterexample_points: int = 0
 
     def consistent(self) -> bool:
         return self.enumerated == (self.retained + self.pruned_rewriter
-                                   + self.pruned_signature
-                                   + self.blocked_exact)
+                                   + self.pruned_signature)
 
 
 class EnumSession:
-    """State of one enumerative search: the candidate database and the
-    blocking-pattern store, which decide what the search's pools admit.
-    Signatures are computed whenever there are example ``points``;
-    ``sb_rewriter`` and ``sb_examples`` switch the two prunings."""
+    """State of one enumerative search: the canonical keys and example
+    signatures retained per datatype, which decide what the search's
+    pools admit. A composed value is retained only when its key is new
+    for its datatype and, when there are example ``points``, so is its
+    signature; there is no other pruning. ``sb_rewriter`` and
+    ``sb_examples`` switch the two tests."""
 
     def __init__(self, family: DatatypeFamily, *,
                  sb_rewriter: bool = True,
@@ -745,7 +693,6 @@ class EnumSession:
         self.points = points
         self.trace = trace
         self.stats = EnumStats()
-        self.patterns = PatternIndex()
         # Per datatype: the canonical keys retained, and each signature
         # retained with the analog of its first retained value.
         self.keys: dict[str, set[Term]] = \
@@ -759,19 +706,12 @@ class EnumSession:
         """Admit or prune one composed value, given with its analog term;
         returns the decision."""
         self.stats.enumerated += 1
-        if self.patterns.blocks(v):
-            self.stats.blocked_exact += 1
-            if self.trace:
-                self.trace(f"blocked {self._show(v)}")
-            return "blocked"
         key = canonical_key(analog)
         if self.sb_rewriter and key in self.keys[v.dtype]:
             self.stats.pruned_rewriter += 1
             if self.trace:
                 self.trace(f"pruned-rewriter {self._show(v)} -> "
                            f"{print_term(key)}")
-            self.patterns.add(generalize_pattern(
-                v, analog, self.family, RewriterDup(key)))
             return "pruned_rewriter"
         if self.points is not None:
             sig = signature_of(analog, self.family, self.points)
@@ -781,10 +721,6 @@ class EnumSession:
                 if self.trace:
                     self.trace(
                         f"pruned-signature {self._show(v)} -> {sig}")
-                self.patterns.add(generalize_pattern(
-                    v, analog, self.family,
-                    SignatureDup(sig, tuple(tuple(p)
-                                            for p in self.points))))
                 return "pruned_signature"
             seen.setdefault(sig, analog)
         self.stats.retained += 1
@@ -826,7 +762,11 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
 
     An input-output example conjecture is decided by evaluating each
     candidate at its points, with no solver call; every other
-    conjecture by counterexample-guided checks.
+    conjecture by counterexample-guided checks. A candidate is first
+    evaluated at each counterexample point under the interpretation of
+    the function by the candidate; only one that holds at every point
+    is substituted into the conjecture (``apply_solution``) and checked
+    by the solver.
 
     Raises Exhausted when the size cap is reached and TimedOut when
     ``deadline`` (a time.monotonic() value) passes.
@@ -854,9 +794,9 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
                 continue
             return {f.name: Lambda(params, body)}, session.stats
         sol = {f.name: Lambda(params, body)}
-        spec = apply_solution(p, sol)
-        if any(not evaluate(spec, env) for env in cex):
+        if any(not evaluate(p.constraint, env, sol) for env in cex):
             continue
+        spec = apply_solution(p, sol)
         res = check_sat(normalize(not_(spec)))
         if isinstance(res, Unsat):
             return sol, session.stats

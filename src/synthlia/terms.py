@@ -285,8 +285,16 @@ OP_VALUES: dict[str, Callable[..., Value]] = {
 }
 
 
-def evaluate(t: Term, env: Mapping[str, Value]) -> Value:
-    """Evaluate a ground (UFApp/Lambda free) term under an assignment.
+def evaluate(t: Term, env: Mapping[str, Value],
+             funs: Optional[Mapping[str, Lambda]] = None) -> Value:
+    """Evaluate a term under an assignment and, optionally, an
+    interpretation ``funs`` of unknown functions by name.
+
+    An application of a function in ``funs`` evaluates its arguments,
+    binds the lambda's parameters to their values and evaluates the
+    lambda's body under that binding alone, so the result is that of
+    the beta-reduced term (``problem.apply_solution``). Any other
+    unknown-function application, and a bare lambda, raises EvalError.
 
     Strict operators take their value from ``OP_VALUES``. ``ite``,
     ``and``, ``or`` and ``=>`` short-circuit: they evaluate only the
@@ -306,21 +314,27 @@ def evaluate(t: Term, env: Mapping[str, Value]) -> Value:
         if t.sort == BOOL and not isinstance(v, bool):
             raise EvalError(f"{t.name} bound to an integer, expected Bool")
         return v
+    if isinstance(t, UFApp) and funs and t.fname in funs:
+        lam = funs[t.fname]
+        return evaluate(lam.body, {p.name: evaluate(a, env, funs)
+                                   for p, a in zip(lam.params, t.args)})
     if isinstance(t, (UFApp, Lambda)):
         raise EvalError("cannot evaluate a term with unknown functions")
     op, args = t.op, t.args
     if op == "ite":
-        return evaluate(args[1] if evaluate(args[0], env) else args[2], env)
+        return evaluate(args[1] if evaluate(args[0], env, funs) else args[2],
+                        env, funs)
     if op == "and":
-        return all(evaluate(a, env) for a in args)
+        return all(evaluate(a, env, funs) for a in args)
     if op == "or":
-        return any(evaluate(a, env) for a in args)
+        return any(evaluate(a, env, funs) for a in args)
     if op == "=>":
-        return (not evaluate(args[0], env)) or bool(evaluate(args[1], env))
+        return (not evaluate(args[0], env, funs)) or \
+            bool(evaluate(args[1], env, funs))
     fn = OP_VALUES.get(op)
     if fn is None:
         raise EvalError(f"unknown operator {op!r}")
-    return fn(*[evaluate(a, env) for a in args])
+    return fn(*[evaluate(a, env, funs) for a in args])
 
 
 # ---------------------------------------------------------------------------

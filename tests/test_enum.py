@@ -14,7 +14,6 @@ from synthlia.enumsearch import (
     EnumSession,
     Exhausted,
     KeyedPool,
-    PatternIndex,
     Pools,
     RewriterDup,
     SignatureDup,
@@ -27,6 +26,7 @@ from synthlia.enumsearch import (
     solve_enum,
 )
 from synthlia import enumsearch
+from synthlia.problem import apply_solution
 from synthlia.qfsolver import are_equivalent
 from synthlia.rewrite import canonical_key
 from synthlia.terms import (
@@ -243,19 +243,6 @@ def test_signature_generalization_drops_only_the_else_branch():
     assert ((("I", 1),), "x") in p.constraints
 
 
-def test_session_learns_plus_zero_from_the_first_pruned_candidate():
-    fam = io_family()
-    session = EnumSession(fam)
-    u = DtValue("I", "x")
-    assert session.process(u, to_analog(u, fam)) == "retained"
-    v = plus_x_zero()
-    assert session.process(v, to_analog(v, fam)) == "pruned_rewriter"
-    # The pattern learned from plus(x, 0) blocks every plus(_, 0).
-    w = DtValue("I", "plus", (DtValue("I", "y"), DtValue("I", "0")))
-    assert session.patterns.blocks(w)
-    assert session.process(w, to_analog(w, fam)) == "blocked"
-
-
 # ---------------------------------------------------------------------------
 # Sessions: pruning soundness and completeness
 
@@ -404,68 +391,51 @@ def test_candidates_stop_at_the_deadline():
     assert exc.value.stats is session.stats
 
 
-def test_pruned_values_are_justified():
-    fam = io_family()
-    session = EnumSession(fam, points=EQ12_POINTS)
-    list(session.candidates(3))
-    assert session.stats.consistent()
-    assert session.stats.pruned_rewriter > 0
-    assert session.stats.pruned_signature > 0
-    # Soundness audit: everything a stored pattern blocks is redundant —
-    # its simplified analog or its signature already has a retained
-    # representative of the same datatype.
-    audited = 0
-    for v in raw_values(fam, 3):
-        if not session.patterns.blocks(v):
-            continue
-        analog = to_analog(v, fam)
-        key = canonical_key(analog)
-        sig = signature_of(analog, fam, EQ12_POINTS)
-        assert key in session.keys[v.dtype] \
-            or sig in session.sigs[v.dtype], session._show(v)
-        audited += 1
-    assert audited >= 200
-
-
-def stored_patterns(session, monkeypatch) -> list:
-    """Every pattern the session stores while it enumerates up to
-    size 3, recorded as generalize_pattern returns them."""
-    made = []
-    generalize = enumsearch.generalize_pattern
-
-    def recording(*args):
-        made.append(generalize(*args))
-        return made[-1]
-
-    monkeypatch.setattr(enumsearch, "generalize_pattern", recording)
-    list(session.candidates(3))
-    return made
-
-
-INDEX_SESSIONS = {
-    "io-signature": lambda: EnumSession(io_family(), points=EQ12_POINTS),
-    "nsi-rewriter": lambda: EnumSession(nsi_family()),
+PRUNING_SESSIONS = {
+    "io": lambda: EnumSession(io_family(), points=EQ12_POINTS),
+    "nsi": lambda: EnumSession(nsi_family()),
 }
 
 
-@pytest.mark.parametrize("name", sorted(INDEX_SESSIONS))
-def test_pattern_index_agrees_with_a_linear_scan(name, monkeypatch):
-    session = INDEX_SESSIONS[name]()
-    fam = session.family
-    patterns = stored_patterns(session, monkeypatch)
-    assert patterns
-    # No root constraint: blocks every I value whose first I child is x.
-    rootless = BlockingPattern("I", frozenset([((("I", 1),), "x")]))
-    index = PatternIndex(patterns + [rootless])
-    blocked = total = 0
+@pytest.mark.parametrize("name", sorted(PRUNING_SESSIONS))
+def test_pruning_is_sound_and_complete_against_raw_values(name):
+    session = PRUNING_SESSIONS[name]()
+    fam, points = session.family, session.points
+    retained: dict[str, list] = {d.name: [] for d in fam.datatypes}
+    process = session.process
+
+    def recording(v, analog):
+        decision = process(v, analog)
+        if decision == "retained":
+            retained[v.dtype].append(analog)
+        return decision
+
+    session.process = recording
+    list(session.candidates(3))
+    assert session.stats.consistent()
+    assert session.stats.pruned_rewriter > 0
+    # Sound: one retained value per key, and per signature, per datatype.
+    keys, sigs = {}, {}
+    for dt, analogs in retained.items():
+        keys[dt] = [canonical_key(t) for t in analogs]
+        assert len(set(keys[dt])) == len(keys[dt]), dt
+        assert set(keys[dt]) == session.keys[dt]
+        if points is not None:
+            sigs[dt] = [signature_of(t, fam, points) for t in analogs]
+            assert len(set(sigs[dt])) == len(sigs[dt]), dt
+    if points is not None:
+        assert session.stats.pruned_signature > 0
+    # Complete: every unpruned value up to the same size has a retained
+    # representative of its datatype, by key or by signature.
+    checked = 0
     for v in raw_values(fam, 3):
-        want = any(pattern_matches(p, v) for p in patterns)
-        assert session.patterns.blocks(v) == want, session._show(v)
-        want = want or pattern_matches(rootless, v)
-        assert index.blocks(v) == want, session._show(v)
-        blocked += want
-        total += 1
-    assert 0 < blocked < total
+        analog = to_analog(v, fam)
+        assert canonical_key(analog) in keys[v.dtype] or (
+            points is not None
+            and signature_of(analog, fam, points) in sigs[v.dtype]
+        ), session._show(v)
+        checked += 1
+    assert checked > 1000
 
 
 def test_session_signature_pruning_on_the_paper_candidate():
@@ -477,11 +447,6 @@ def test_session_signature_pruning_on_the_paper_candidate():
         DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
         DtValue("I", "x"), DtValue("I", "y")))
     assert session.process(v, to_analog(v, fam)) == "pruned_signature"
-    # The stored pattern now blocks the same shape with any else branch.
-    w = DtValue("I", "if", (
-        DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
-        DtValue("I", "x"), DtValue("I", "0")))
-    assert session.patterns.blocks(w)
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +503,9 @@ def test_solve_enum_without_symmetry_breaking_still_solves():
                             sb_examples=False)
     assert are_equivalent(sol["f"].body, ite(le(y, x), x, y))
     assert stats.pruned_rewriter == 0 and stats.pruned_signature == 0
-    assert stats.blocked_exact == 0
-    # A grammar with 0 and + offers plus(_, 0); with the rewriter off,
-    # no pattern is learned, so not even that is blocked.
     p = load_golden("io_points.sy")
     sol, stats = solve_enum(p, io_family(), sb_rewriter=False,
                             sb_examples=False)
-    assert stats.blocked_exact == 0
 
 
 @pytest.mark.parametrize("sb_examples", [True, False])
@@ -560,3 +521,23 @@ def test_io_conjecture_is_decided_without_the_solver(sb_examples,
     for (a, b), out in zip(EQ12_POINTS, (1, 3, 8)):
         assert evaluate(body, {"x": a, "y": b}) == out
     assert stats.counterexample_points == 0
+
+
+def test_only_candidates_that_hold_at_every_counterexample_are_built(
+        monkeypatch):
+    # The others are rejected by evaluating the conjecture under their
+    # interpretation; the solver sees one spec per counterexample found,
+    # and one for the answer.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return apply_solution(*args)
+
+    monkeypatch.setattr(enumsearch, "apply_solution", counting)
+    p = load_golden("max_sym.sy")
+    sol, stats = solve_enum(p, nsi_family())
+    assert are_equivalent(sol["f"].body, ite(le(y, x), x, y))
+    assert stats.counterexample_points > 0
+    assert stats.retained > stats.counterexample_points + 1
+    assert len(built) == stats.counterexample_points + 1

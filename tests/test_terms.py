@@ -1,7 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
+from synthlia.enumsearch import grammar_to_datatypes
+from synthlia.problem import apply_solution
 from synthlia.terms import (
     BOOL,
     INT,
@@ -39,7 +42,13 @@ from synthlia.terms import (
     well_sorted,
 )
 
-from helpers import random_env, random_term
+from helpers import (
+    load_golden,
+    random_env,
+    random_term,
+    raw_values,
+    to_analog,
+)
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 
@@ -91,6 +100,61 @@ def test_evaluate_random_terms_total_on_full_env():
         t = random_term(rng)
         v = evaluate(t, random_env(rng))
         assert isinstance(v, (int, bool))
+
+
+def nested_max_sym():
+    """max_sym.sy with the constraint f(f(x, y), y) >= x, whose
+    application nests another."""
+    p = load_golden("max_sym.sy")
+    fs = p.functions[0].fsort
+    return dataclasses.replace(
+        p, constraint=ge(UFApp("f", fs, (UFApp("f", fs, (x, y)), y)), x))
+
+
+INTERPRETED = {
+    "max_sym": lambda: load_golden("max_sym.sy"),
+    "io_points": lambda: load_golden("io_points.sy"),
+    "nested": nested_max_sym,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERPRETED))
+def test_evaluate_under_an_interpretation_agrees_with_apply_solution(name):
+    p = INTERPRETED[name]()
+    f = p.functions[0]
+    fam = grammar_to_datatypes(f.grammar)
+    rng = random.Random(13)
+    bodies = [to_analog(v, fam) for v in raw_values(fam, 3)]
+    # The example points, so that io_points' implications can fire, and
+    # random ones.
+    rows = [{"x": a, "y": b} for a, b in ((1, 0), (2, 1), (7, 1))]
+    seen = set()
+    for body in rng.sample(bodies, 300):
+        sol = {f.name: Lambda(f.param_vars(), body)}
+        spec = apply_solution(p, sol)
+        for env in rows + [{"x": rng.randint(-5, 8), "y": rng.randint(-5, 8)}
+                           for _ in range(3)]:
+            got = evaluate(p.constraint, env, sol)
+            assert got == evaluate(spec, env), (body, env)
+            seen.add(got)
+    assert seen == {False, True}
+
+
+def test_evaluate_interprets_only_the_functions_it_is_given():
+    fs = FunSort((INT, INT), INT)
+    a, b = ivar("a"), ivar("b")
+    funs = {"f": Lambda((a, b), add(a, mul(2, b)))}
+    env = {"x": 3, "y": 1}
+    # The body sees only its parameters: f(y, x) binds a = 1, b = 3.
+    assert evaluate(UFApp("f", fs, (y, x)), env, funs) == 7
+    assert evaluate(UFApp("f", fs, (UFApp("f", fs, (x, y)), y)),
+                    env, funs) == 7
+    with pytest.raises(EvalError):
+        evaluate(UFApp("g", fs, (x, y)), env, funs)
+    with pytest.raises(EvalError):
+        evaluate(UFApp("f", fs, (x, y)), env)
+    with pytest.raises(EvalError):
+        evaluate(funs["f"], env, funs)
 
 
 def test_free_vars_and_subterms():
