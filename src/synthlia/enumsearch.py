@@ -3,16 +3,14 @@
 Grammars are compiled into families of algebraic datatypes (flattening
 non-atomic productions through auxiliary single-constructor datatypes
 and dropping rules made redundant by the rewriter). Candidate solutions
-are datatype values enumerated bottom-up in order of non-nullary
-constructor count, each together with its analog term, which is built
-once from its children's analogs; candidates are simplified and
-evaluated through that term. A candidate joins its level only when its
-canonical key (simplified analog) is new for its datatype, and, on an
-example conjecture, its signature (evaluation of the analog at the
-example points) is new too. Levels are composed from retained values
-only, so these two tests are the whole of the symmetry breaking: any
-candidate a learned blocking pattern would exclude is already a key or
-signature duplicate of a retained one.
+are the terms of each datatype, enumerated bottom-up in order of
+non-nullary constructor count: a composed term is one constructor's
+operator applied to retained terms of its children's datatypes, so
+subterms are shared. A candidate joins its level only when its
+canonical key (simplified term) is new for its datatype, and, on an
+example conjecture, its signature (evaluation of the term at the
+example points) is new too. Levels are composed from retained terms
+only, so these two tests are the whole of the symmetry breaking.
 
 An input-output example conjecture is decided by evaluating each
 candidate at its points, with no solver call. Every other conjecture is
@@ -124,13 +122,6 @@ class DatatypeFamily:
 
     def constructor(self, dtname: str, cname: str) -> Constructor:
         return self._constructors[(dtname, cname)]
-
-
-@dataclass(frozen=True)
-class DtValue:
-    dtype: str
-    ctor: str
-    children: tuple["DtValue", ...] = ()
 
 
 _OP_NAMES = {"+": "plus", "*": "mult", "ite": "if", "<=": "leq", "<": "lt",
@@ -291,16 +282,15 @@ def default_grammar(fsort: FunSort, param_names: tuple[str, ...]) -> Grammar:
 # Evaluation
 
 
-def signature_of(analog: Term, family: DatatypeFamily,
-                 points: list) -> tuple:
-    """Evaluation vector of a candidate's analog term on the example
-    input points."""
+def signature_of(t: Term, family: DatatypeFamily, points: list) -> tuple:
+    """Evaluation vector of a candidate term on the example input
+    points."""
     if not points:
         raise ValueError("signature requires at least one point")
     names = [p.name for p in family.params]
     if any(len(point) != len(names) for point in points):
         raise ValueError("point arity does not match the formal parameters")
-    return tuple(evaluate(analog, dict(zip(names, point)))
+    return tuple(evaluate(t, dict(zip(names, point)))
                  for point in points)
 
 
@@ -308,6 +298,17 @@ def signature_of(analog: Term, family: DatatypeFamily,
 # Blocking patterns
 
 # Unused by the search: kept while the benchmark's tracer wraps them.
+
+
+@dataclass(frozen=True)
+class DtValue:
+    # The search enumerates terms, not constructor trees; this stays only
+    # as the input type of the pattern functions the tracer wraps.
+    dtype: str
+    ctor: str
+    children: tuple["DtValue", ...] = ()
+
+
 SelectorPath = tuple[tuple[str, int], ...]  # (child datatype, n-th), 1-based
 
 
@@ -461,37 +462,34 @@ def _compositions(total: int, n: int):
 
 
 class Pools:
-    """The grammar enumerator: the values of each datatype by size
+    """The grammar enumerator: the terms of each datatype by size
     (non-nullary constructor count), each level composed from smaller
     levels of the children's datatypes, in constructor, size-split and
-    child order. A level holds (value, analog) pairs; a composed analog
-    is built once from its children's, so subterms are shared.
-    ``admit`` sees every composed pair once and decides whether it
-    joins its level; an exception it raises stops the enumeration."""
+    child order. A composed term is built once over its children's
+    terms, so subterms are shared. ``admit`` sees every composed
+    (datatype name, term) once and decides whether the term joins its
+    level; an exception it raises stops the enumeration."""
 
     def __init__(self, family: DatatypeFamily,
-                 admit: Callable[[DtValue, Term], bool]):
+                 admit: Callable[[str, Term], bool]):
         self.family = family
         self.admit = admit
-        self._levels: dict[tuple[str, int], list[tuple[DtValue, Term]]] = {}
+        self._levels: dict[tuple[str, int], list[Term]] = {}
 
-    def level(self, dtname: str, size: int) -> list[tuple[DtValue, Term]]:
+    def level(self, dtname: str, size: int) -> list[Term]:
         got = self._levels.get((dtname, size))
         if got is not None:
             return got
-        out: list[tuple[DtValue, Term]] = []
+        out: list[Term] = []
         if size == 0:
             for c in self.family.datatype(dtname).constructors:
-                if c.arity() == 0:
-                    v = DtValue(dtname, c.name)
-                    if self.admit(v, c.leaf):
-                        out.append((v, c.leaf))
+                if c.arity() == 0 and self.admit(dtname, c.leaf):
+                    out.append(c.leaf)
         for c, combos in self.compositions(dtname, size):
             for combo in combos:
-                v = DtValue(dtname, c.name, tuple(u for u, _ in combo))
-                t = App(c.op, tuple(a for _, a in combo))
-                if self.admit(v, t):
-                    out.append((v, t))
+                t = App(c.op, combo)
+                if self.admit(dtname, t):
+                    out.append(t)
         self._levels[(dtname, size)] = out
         return out
 
@@ -500,7 +498,7 @@ class Pools:
         """The composed candidates of level ``size`` of ``dtname``, in
         level order: per operator constructor and size split, the
         constructor and the product of its children's levels, each
-        child an admitted (value, analog) pair. Empty at size 0."""
+        child an admitted term. Empty at size 0."""
         if size == 0:
             return
         for c in self.family.datatype(dtname).constructors:
@@ -512,8 +510,7 @@ class Pools:
                 if all(parts):
                     yield c, itertools.product(*parts)
 
-    def upto(self, dtname: str,
-             max_size: int) -> Iterator[tuple[DtValue, Term]]:
+    def upto(self, dtname: str, max_size: int) -> Iterator[Term]:
         for size in range(max_size + 1):
             yield from self.level(dtname, size)
 
@@ -532,7 +529,7 @@ Sample = tuple[list[dict[str, Value]], tuple]  # rows, values at the rows
 class KeyedPool:
     """One grammar's keyed pool, grown as it is asked for sizes: the
     grammar is compiled once, on the first call, and each (datatype,
-    size) level is built and keyed once. A value is admitted only when
+    size) level is built and keyed once. A term is admitted only when
     its canonical key is new for its datatype, so each level is
     composed from one representative per normal form. ``keyed`` counts
     the terms keyed, ``scanned`` the budget-level candidates whose
@@ -602,18 +599,18 @@ class KeyedPool:
                 check_deadline(deadline)
                 self.scanned += 1
                 if tuple(map(values, *[vectors[id(a)]
-                                       for _, a in combo])) != want:
+                                       for a in combo])) != want:
                     continue
-                t = App(c.op, tuple(a for _, a in combo))
+                t = App(c.op, combo)
                 self.keyed += 1
                 out.setdefault(canonical_key(t), t)
         return out
 
-    def _admit(self, v: DtValue, t: Term) -> bool:
+    def _admit(self, dtname: str, t: Term) -> bool:
         check_deadline(self._deadline)
         self.keyed += 1
         key = canonical_key(t)
-        seen = self._keys[v.dtype]
+        seen = self._keys[dtname]
         if key in seen:
             return False
         seen[key] = t
@@ -647,7 +644,7 @@ class KeyedPool:
         vectors, done = self._vectors.get(row_set, ({}, 0))
         for size in range(done, self._layers):
             for d in self._pools.family.datatypes:
-                for _, t in self._pools.level(d.name, size):
+                for t in self._pools.level(d.name, size):
                     vectors[id(t)] = (
                         tuple(map(OP_VALUES[t.op],
                                   *[vectors[id(a)] for a in t.args]))
@@ -677,7 +674,7 @@ class EnumStats:
 class EnumSession:
     """State of one enumerative search: the canonical keys and example
     signatures retained per datatype, which decide what the search's
-    pools admit. A composed value is retained only when its key is new
+    pools admit. A composed term is retained only when its key is new
     for its datatype and, when there are example ``points``, so is its
     signature; there is no other pruning. ``sb_rewriter`` and
     ``sb_examples`` switch the two tests."""
@@ -694,7 +691,7 @@ class EnumSession:
         self.trace = trace
         self.stats = EnumStats()
         # Per datatype: the canonical keys retained, and each signature
-        # retained with the analog of its first retained value.
+        # retained with its first retained term.
         self.keys: dict[str, set[Term]] = \
             {d.name: set() for d in family.datatypes}
         self.sigs: dict[str, dict[tuple, Term]] = \
@@ -702,46 +699,40 @@ class EnumSession:
 
     # -- candidate admission ------------------------------------------------
 
-    def process(self, v: DtValue, analog: Term) -> str:
-        """Admit or prune one composed value, given with its analog term;
+    def process(self, dtname: str, term: Term) -> str:
+        """Admit or prune one composed term of datatype ``dtname``;
         returns the decision."""
         self.stats.enumerated += 1
-        key = canonical_key(analog)
-        if self.sb_rewriter and key in self.keys[v.dtype]:
+        key = canonical_key(term)
+        if self.sb_rewriter and key in self.keys[dtname]:
             self.stats.pruned_rewriter += 1
             if self.trace:
-                self.trace(f"pruned-rewriter {self._show(v)} -> "
+                self.trace(f"pruned-rewriter {print_term(term)} -> "
                            f"{print_term(key)}")
             return "pruned_rewriter"
         if self.points is not None:
-            sig = signature_of(analog, self.family, self.points)
-            seen = self.sigs[v.dtype]
+            sig = signature_of(term, self.family, self.points)
+            seen = self.sigs[dtname]
             if self.sb_examples and sig in seen:
                 self.stats.pruned_signature += 1
                 if self.trace:
                     self.trace(
-                        f"pruned-signature {self._show(v)} -> {sig}")
+                        f"pruned-signature {print_term(term)} -> {sig}")
                 return "pruned_signature"
-            seen.setdefault(sig, analog)
+            seen.setdefault(sig, term)
         self.stats.retained += 1
-        self.keys[v.dtype].add(key)
+        self.keys[dtname].add(key)
         return "retained"
 
-    def _show(self, v: DtValue) -> str:
-        if not v.children:
-            return v.ctor
-        return "{}({})".format(v.ctor,
-                               ", ".join(self._show(c) for c in v.children))
-
     def candidates(self, max_size: int, deadline: Optional[float] = None
-                   ) -> Iterator[tuple[DtValue, Term]]:
-        """Retained start-datatype values with their analogs, in size
-        order. Raises TimedOut once ``deadline`` (a time.monotonic()
-        value) passes while a level is being built."""
+                   ) -> Iterator[Term]:
+        """Retained start-datatype terms, in size order. Raises TimedOut
+        once ``deadline`` (a time.monotonic() value) passes while a level
+        is being built."""
 
-        def admit(v: DtValue, analog: Term) -> bool:
+        def admit(dtname: str, term: Term) -> bool:
             check_deadline(deadline, self.stats)
-            return self.process(v, analog) == "retained"
+            return self.process(dtname, term) == "retained"
 
         return Pools(self.family, admit).upto(self.family.start, max_size)
 
@@ -784,10 +775,10 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
                           trace=trace)
     cex: list[dict] = []
     params = f.param_vars()
-    for _, body in session.candidates(max_size, deadline):
+    for body in session.candidates(max_size, deadline):
         check_deadline(deadline, session.stats)
         if points is not None:
-            # A level is admitted whole before its first value is
+            # A level is admitted whole before its first term is
             # yielded, so the first match of the level is recorded.
             body = session.sigs[family.start].get(want)
             if body is None:

@@ -153,16 +153,15 @@ def oracle_terms(g: Grammar, max_size: int, nt: str | None = None):
     return [t for size in range(max_size + 1) for t in of_size(nt, size)]
 
 
-def raw_values(family: DatatypeFamily, max_size: int):
-    """Every start-datatype value up to ``max_size`` in size order, with
+def raw_terms(family: DatatypeFamily, max_size: int):
+    """Every start-datatype term up to ``max_size`` in size order, with
     no pruning: the search's pool builder admitting everything."""
-    return (v for v, _ in
-            Pools(family, lambda v, t: True).upto(family.start, max_size))
+    return Pools(family, lambda dt, t: True).upto(family.start, max_size)
 
 
 def to_analog(v: DtValue, family: DatatypeFamily) -> Term:
     """The term a datatype value denotes, rebuilt recursively from its
-    constructors: the oracle for the analogs the pools compose."""
+    constructors: the input of the blocking-pattern tests."""
     c = family.constructor(v.dtype, v.ctor)
     if c.op is None:
         return c.leaf

@@ -11,7 +11,6 @@ from synthlia.cegqi import Solved, extract_solution, solve_cegqi
 from synthlia.classify import classify, to_first_order, to_single_invocation
 from synthlia.driver import SolverConfig, Success, solve, verify_solution
 from synthlia.enumsearch import (
-    DtValue,
     EnumSession,
     default_grammar,
     grammar_to_datatypes,
@@ -34,8 +33,7 @@ from synthlia.terms import (
     le,
 )
 
-from helpers import key_set, load_golden, oracle_terms, raw_values, \
-    to_analog
+from helpers import key_set, load_golden, oracle_terms, raw_terms
 
 from test_enum import eval_coherence_sample
 from test_qf_solver import cross_check_sample
@@ -161,13 +159,9 @@ def test_criterion_7_io_signature_pruning(capsys):
     points = [list(ins) for ins, _ in cls.points]
     family = grammar_to_datatypes(p.functions[0].grammar)
     session = EnumSession(family, points=points)
-    sig_x = signature_of(to_analog(DtValue("I", "x"), family), family,
-                         points)
-    session.process(DtValue("I", "x"), to_analog(DtValue("I", "x"), family))
-    candidate = DtValue("I", "if", (
-        DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
-        DtValue("I", "x"), DtValue("I", "y")))
-    decision = session.process(candidate, to_analog(candidate, family))
+    sig_x = signature_of(x, family, points)
+    session.process("I", x)
+    decision = session.process("I", ite(le(y, x), x, y))
     elapsed = time.monotonic() - t0
     ok = (points == [[1, 0], [2, 1], [7, 1]]
           and sig_x == (1, 2, 7)
@@ -189,8 +183,7 @@ def test_criterion_8_property_suites(capsys):
     g = load_golden("max_sym.sy").functions[0].grammar
     family = grammar_to_datatypes(g)
     oracle_keys = key_set(oracle_terms(g, 4))
-    raw_keys = {canonical_key(to_analog(v, family))
-                for v in raw_values(family, 4)}
+    raw_keys = {canonical_key(t) for t in raw_terms(family, 4)}
     ok &= raw_keys == oracle_keys
     session = EnumSession(family)
     list(session.candidates(4))

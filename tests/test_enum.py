@@ -26,6 +26,7 @@ from synthlia.enumsearch import (
     solve_enum,
 )
 from synthlia import enumsearch
+from synthlia.driver import SolverConfig, Success, solve
 from synthlia.problem import apply_solution
 from synthlia.qfsolver import are_equivalent
 from synthlia.rewrite import canonical_key
@@ -39,13 +40,14 @@ from synthlia.terms import (
     ite,
     ivar,
     le,
+    print_term,
 )
 
 from helpers import (
     key_set,
     load_golden,
     oracle_terms,
-    raw_values,
+    raw_terms,
     term_size,
     to_analog,
 )
@@ -55,16 +57,22 @@ x, y = ivar("x"), ivar("y")
 EQ12_POINTS = [(1, 0), (2, 1), (7, 1)]
 
 
+def nsi_grammar():
+    """The symmetric-max grammar (0|x|y|I+1|ite)."""
+    return load_golden("max_sym.sy").functions[0].grammar
+
+
+def io_grammar():
+    """The plus/if grammar used with example points."""
+    return load_golden("io_points.sy").functions[0].grammar
+
+
 def nsi_family():
-    """Datatypes for the symmetric-max grammar (0|x|y|I+1|ite)."""
-    return grammar_to_datatypes(load_golden("max_sym.sy")
-                                .functions[0].grammar)
+    return grammar_to_datatypes(nsi_grammar())
 
 
 def io_family():
-    """Datatypes for the plus/if grammar used with example points."""
-    return grammar_to_datatypes(load_golden("io_points.sy")
-                                .functions[0].grammar)
+    return grammar_to_datatypes(io_grammar())
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +131,25 @@ def test_to_analog_examples():
 
 
 def eval_coherence_sample(n: int, seed: int = 19) -> int:
-    """Oracle: the signature of each analog a pool composed must agree
-    with direct evaluation of the value's recursively rebuilt analog, on
-    random points. The pairs come from every datatype's pool up to size
-    3. Returns the number of pairs checked."""
+    """Oracle: each term the brute-force grammar expansion derives up to
+    size 3, from every nonterminal, must evaluate at a random point as
+    the signature there of the pool term with the same canonical key.
+    Returns the number of terms checked."""
     rng = random.Random(seed)
-    fam = io_family()
-    pools = Pools(fam, lambda v, t: True)
-    pairs = [pair for d in fam.datatypes for pair in pools.upto(d.name, 3)]
+    g = io_grammar()
+    fam = grammar_to_datatypes(g)
+    pools = Pools(fam, lambda dt, t: True)
+    pooled = {nt: {} for nt in g.nonterminals}
+    for nt, by_key in pooled.items():
+        for t in pools.upto(nt, 3):
+            by_key.setdefault(canonical_key(t), t)
+    drawn = [(nt, t) for nt in g.nonterminals for t in oracle_terms(g, 3, nt)]
     for _ in range(n):
-        v, t = rng.choice(pairs)
+        nt, t = rng.choice(drawn)
         point = (rng.randint(-5, 5), rng.randint(-5, 5))
         env = {"x": point[0], "y": point[1]}
-        assert signature_of(t, fam, [point]) == \
-            (evaluate(to_analog(v, fam), env),)
+        assert signature_of(pooled[nt][canonical_key(t)], fam, [point]) == \
+            (evaluate(t, env),)
     return n
 
 
@@ -263,7 +276,7 @@ def test_session_retains_full_key_set():
 def test_raw_enumeration_matches_grammar_oracle():
     fam = nsi_family()
     g = load_golden("max_sym.sy").functions[0].grammar
-    raw = [to_analog(v, fam) for v in raw_values(fam, 3)]
+    raw = list(raw_terms(fam, 3))
     assert len(raw) == len(set(raw))
     assert key_set(raw) == key_set(oracle_terms(g, 3))
 
@@ -271,27 +284,26 @@ def test_raw_enumeration_matches_grammar_oracle():
 def test_default_grammar_encoding_is_exact():
     g = default_grammar(FunSort((INT,), INT), ("x",))
     fam = grammar_to_datatypes(g)
-    raw = Counter(canonical_key(to_analog(v, fam))
-                  for v in raw_values(fam, 3))
+    raw = Counter(canonical_key(t) for t in raw_terms(fam, 3))
     oracle = Counter(canonical_key(t) for t in oracle_terms(g, 3))
     assert raw == oracle
 
 
-ANALOG_FAMILIES = {
-    "io": io_family,
-    "nsi": nsi_family,
-    "default": lambda: grammar_to_datatypes(
-        default_grammar(FunSort((INT, INT), INT), ("x", "y"))),
+TERM_GRAMMARS = {
+    "io": io_grammar,
+    "nsi": nsi_grammar,
+    "default": lambda: default_grammar(FunSort((INT, INT), INT), ("x", "y")),
 }
 
 
-@pytest.mark.parametrize("name", sorted(ANALOG_FAMILIES))
-def test_pools_compose_the_analog_of_each_value(name):
-    fam = ANALOG_FAMILIES[name]()
-    pairs = list(Pools(fam, lambda v, t: True).upto(fam.start, 3))
-    assert len(pairs) > 1000
-    for v, t in pairs:
-        assert t == to_analog(v, fam)
+@pytest.mark.parametrize("name", sorted(TERM_GRAMMARS))
+def test_pools_derive_each_grammar_term_once(name):
+    g = TERM_GRAMMARS[name]()
+    terms = list(raw_terms(grammar_to_datatypes(g), 3))
+    assert len(terms) > 1000
+    assert len(set(terms)) == len(terms)
+    for t in terms:
+        assert g.generates(t), print_term(t)
 
 
 POOL_GRAMMARS = {
@@ -404,17 +416,17 @@ def test_pruning_is_sound_and_complete_against_raw_values(name):
     retained: dict[str, list] = {d.name: [] for d in fam.datatypes}
     process = session.process
 
-    def recording(v, analog):
-        decision = process(v, analog)
+    def recording(dt, analog):
+        decision = process(dt, analog)
         if decision == "retained":
-            retained[v.dtype].append(analog)
+            retained[dt].append(analog)
         return decision
 
     session.process = recording
     list(session.candidates(3))
     assert session.stats.consistent()
     assert session.stats.pruned_rewriter > 0
-    # Sound: one retained value per key, and per signature, per datatype.
+    # Sound: one retained term per key, and per signature, per datatype.
     keys, sigs = {}, {}
     for dt, analogs in retained.items():
         keys[dt] = [canonical_key(t) for t in analogs]
@@ -425,28 +437,22 @@ def test_pruning_is_sound_and_complete_against_raw_values(name):
             assert len(set(sigs[dt])) == len(sigs[dt]), dt
     if points is not None:
         assert session.stats.pruned_signature > 0
-    # Complete: every unpruned value up to the same size has a retained
+    # Complete: every unpruned term up to the same size has a retained
     # representative of its datatype, by key or by signature.
     checked = 0
-    for v in raw_values(fam, 3):
-        analog = to_analog(v, fam)
-        assert canonical_key(analog) in keys[v.dtype] or (
+    for analog in raw_terms(fam, 3):
+        assert canonical_key(analog) in keys[fam.start] or (
             points is not None
-            and signature_of(analog, fam, points) in sigs[v.dtype]
-        ), session._show(v)
+            and signature_of(analog, fam, points) in sigs[fam.start]
+        ), print_term(analog)
         checked += 1
     assert checked > 1000
 
 
 def test_session_signature_pruning_on_the_paper_candidate():
-    fam = io_family()
-    session = EnumSession(fam, points=EQ12_POINTS)
-    u = DtValue("I", "x")
-    assert session.process(u, to_analog(u, fam)) == "retained"
-    v = DtValue("I", "if", (
-        DtValue("B", "leq", (DtValue("I", "y"), DtValue("I", "x"))),
-        DtValue("I", "x"), DtValue("I", "y")))
-    assert session.process(v, to_analog(v, fam)) == "pruned_signature"
+    session = EnumSession(io_family(), points=EQ12_POINTS)
+    assert session.process("I", x) == "retained"
+    assert session.process("I", ite(le(y, x), x, y)) == "pruned_signature"
 
 
 # ---------------------------------------------------------------------------
@@ -541,3 +547,25 @@ def test_only_candidates_that_hold_at_every_counterexample_are_built(
     assert stats.counterexample_points > 0
     assert stats.retained > stats.counterexample_points + 1
     assert len(built) == stats.counterexample_points + 1
+
+
+GUARDED_SOLVES = {
+    "max_sym.sy": ("enum", "enum"),
+    "io_points.sy": ("enum", "enum"),
+    "between_grammar.sy": ("portfolio", "cegqi+reconstruction"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_SOLVES))
+def test_search_and_reconstruction_build_no_datatype_values(name,
+                                                            monkeypatch):
+    # The pools enumerate terms; the constructor trees of the blocking
+    # patterns play no part in a solve.
+    def no_values(*args):
+        raise AssertionError("a DtValue was built")
+
+    monkeypatch.setattr(enumsearch, "DtValue", no_values)
+    mode, strategy = GUARDED_SOLVES[name]
+    out = solve(load_golden(name), SolverConfig(mode=mode))
+    assert isinstance(out, Success)
+    assert out.strategy == strategy

@@ -497,6 +497,8 @@ def test_cli_trace_on_stderr(capsys):
     assert rc == 0
     assert any(s.startswith("trace: route enum") for s in lines)
     assert any(s.startswith("trace: pruned-rewriter ") for s in lines)
+    # Candidates are printed as terms, in SyGuS syntax.
+    assert "trace: pruned-rewriter (<= x x) -> true" in lines
 
 
 def test_cli_gave_up_exit_code(capsys):

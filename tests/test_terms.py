@@ -46,8 +46,7 @@ from helpers import (
     load_golden,
     random_env,
     random_term,
-    raw_values,
-    to_analog,
+    raw_terms,
 )
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
@@ -124,7 +123,7 @@ def test_evaluate_under_an_interpretation_agrees_with_apply_solution(name):
     f = p.functions[0]
     fam = grammar_to_datatypes(f.grammar)
     rng = random.Random(13)
-    bodies = [to_analog(v, fam) for v in raw_values(fam, 3)]
+    bodies = list(raw_terms(fam, 3))
     # The example points, so that io_points' implications can fire, and
     # random ones.
     rows = [{"x": a, "y": b} for a, b in ((1, 0), (2, 1), (7, 1))]
