@@ -8,18 +8,18 @@ non-nullary constructor count: a composed term is one constructor's
 operator applied to retained terms of its children's datatypes, so
 subterms are shared. A candidate joins its level only when its
 canonical key (simplified term) is new for its datatype, and, on an
-example conjecture, its signature (evaluation of the term at the
-example points) is new too. Levels are composed from retained terms
+example conjecture, its signature (its values at the example points,
+composed from its children's) is new too. Levels hold retained terms
 only, so these two tests are the whole of the symmetry breaking.
 
-An input-output example conjecture is decided by evaluating each
-candidate at its points, with no solver call. Every other conjecture is
+An input-output example conjecture is decided by the candidates'
+signatures, with no solver call. Every other conjecture is
 decided by counterexample-guided checks: a candidate is first evaluated
 at the counterexample points under the interpretation of the unknown
 function by the candidate, and only one that holds at all of them is
 substituted into the conjecture and handed to the QF solver.
 Reconstruction reads the same pools through ``KeyedPool``, which keeps
-the smallest term per canonical key.
+the smallest term per canonical key and samples by ``values_at`` too.
 """
 
 from __future__ import annotations
@@ -207,7 +207,6 @@ def _minimize(dts: dict[str, list[Constructor]],
         for cand in ctors:
             cvars = tuple(Var(f"_m{i}", sorts[d])
                           for i, d in enumerate(cand.children))
-            cform = normalize(_ctor_analog_skeleton(cand, cvars))
             redundant = False
             for prev in kept:
                 if sorted(prev.children) != sorted(cand.children):
@@ -282,16 +281,32 @@ def default_grammar(fsort: FunSort, param_names: tuple[str, ...]) -> Grammar:
 # Evaluation
 
 
-def signature_of(t: Term, family: DatatypeFamily, points: list) -> tuple:
-    """Evaluation vector of a candidate term on the example input
-    points."""
+def values_at(t: Term, rows: list[dict[str, Value]],
+              known: dict[int, tuple[Term, tuple]]) -> tuple:
+    """The values of ``t`` at ``rows``: a leaf's evaluated, an App's
+    composed from its arguments'. Each is kept in ``known``, one table
+    per list of rows, by id with its term: no id is reused while kept."""
+    got = known.get(id(t))
+    if got is None:
+        values = (map(OP_VALUES[t.op], *[values_at(a, rows, known)
+                                          for a in t.args])
+                  if isinstance(t, App) else
+                  (evaluate(t, row) for row in rows))
+        got = known[id(t)] = (t, tuple(values))
+    return got[1]
+
+
+def signature_of(t: Term, family: DatatypeFamily, points: list,
+                 known: Optional[dict] = None) -> tuple:
+    """Values of a candidate term at the example input points, composed
+    in ``known``, ``values_at``'s table at these points (or a new one)."""
     if not points:
         raise ValueError("signature requires at least one point")
     names = [p.name for p in family.params]
     if any(len(point) != len(names) for point in points):
         raise ValueError("point arity does not match the formal parameters")
-    return tuple(evaluate(t, dict(zip(names, point)))
-                 for point in points)
+    return values_at(t, [dict(zip(names, point)) for point in points],
+                     {} if known is None else known)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +500,8 @@ class Pools:
             for c in self.family.datatype(dtname).constructors:
                 if c.arity() == 0 and self.admit(dtname, c.leaf):
                     out.append(c.leaf)
-        for c, combos in self.compositions(dtname, size):
-            for combo in combos:
+        for c, parts in self.compositions(dtname, size):
+            for combo in itertools.product(*parts):
                 t = App(c.op, combo)
                 if self.admit(dtname, t):
                     out.append(t)
@@ -494,11 +509,11 @@ class Pools:
         return out
 
     def compositions(self, dtname: str, size: int
-                     ) -> Iterator[tuple[Constructor, Iterator[tuple]]]:
-        """The composed candidates of level ``size`` of ``dtname``, in
-        level order: per operator constructor and size split, the
-        constructor and the product of its children's levels, each
-        child an admitted term. Empty at size 0."""
+                     ) -> Iterator[tuple[Constructor, list[list[Term]]]]:
+        """What level ``size`` of ``dtname`` composes, in level order:
+        per operator constructor and size split, the constructor and its
+        children's levels; its candidates are the constructor over their
+        product, in product order. Empty at size 0."""
         if size == 0:
             return
         for c in self.family.datatype(dtname).constructors:
@@ -508,7 +523,7 @@ class Pools:
                 parts = [self.level(d, s)
                          for d, s in zip(c.children, split)]
                 if all(parts):
-                    yield c, itertools.product(*parts)
+                    yield c, parts
 
     def upto(self, dtname: str, max_size: int) -> Iterator[Term]:
         for size in range(max_size + 1):
@@ -545,9 +560,9 @@ class KeyedPool:
         self._keys: dict[str, dict[Term, Term]] = {}
         self._ends: dict[tuple[str, int], int] = {}
         self._layers = 0  # sizes below it are built for every datatype
-        # Per row set: the values at the rows of each term of the first
-        # n layers, by the term's id (the levels keep the terms alive).
-        self._vectors: dict[tuple, tuple[dict[int, tuple], int]] = {}
+        # values_at's tables, one per row set, by the rows' parameter
+        # values: grammar terms mention no other variable.
+        self._values: dict[tuple, dict[int, tuple[Term, tuple]]] = {}
         self._deadline: Optional[float] = None
 
     def smallest(self, max_size: int, nt: str,
@@ -562,13 +577,13 @@ class KeyedPool:
 
         With ``sample`` = ``(rows, vector)``, only the terms whose values
         at the rows equal ``vector``. Below ``max_size``, the kept terms'
-        values are composed once from their children's (a leaf's are
-        evaluated) and cached per row set. At ``max_size``, each
-        candidate's values are composed from its children's before any
-        term is built: only a matching candidate becomes an ``App`` and
-        is keyed, and the filtered level is not kept. Terms with equal
-        keys are equivalent, so they agree at every row: the result is
-        the unfiltered one restricted to the matching terms, in the same
+        values are composed by ``values_at`` in one table per row set, so
+        each is composed once. At ``max_size``, each candidate's values
+        are composed from its children's before any term is built: only
+        a matching candidate becomes an ``App`` and is keyed, and the
+        filtered level is not kept. Terms with equal keys are
+        equivalent, so they agree at every row: the result is the
+        unfiltered one restricted to the matching terms, in the same
         order. Every row binds the grammar's parameters.
 
         Raises TimedOut once ``deadline`` (a time.monotonic() value)
@@ -589,17 +604,21 @@ class KeyedPool:
         # Size 0 holds only leaves: they are filtered like the levels
         # below the budget, and nothing is composed at it.
         self._complete(max(max_size, 1))
-        vectors = self._vectors_at(rows)
+        known = self._values.setdefault(
+            tuple(tuple(row.get(p.name) for p in self.grammar.params)
+                  for row in rows), {})
         below = self._ends[(nt, max(max_size - 1, 0))]
         out = {key: t for key, t in itertools.islice(keys.items(), below)
-               if vectors[id(t)] == want}
-        for c, combos in self._pools.compositions(nt, max_size):
+               if values_at(t, rows, known) == want}
+        for c, parts in self._pools.compositions(nt, max_size):
             values = OP_VALUES[c.op]
-            for combo in combos:
+            value_parts = [[values_at(a, rows, known) for a in part]
+                           for part in parts]
+            for combo, vectors in zip(itertools.product(*parts),
+                                      itertools.product(*value_parts)):
                 check_deadline(deadline)
                 self.scanned += 1
-                if tuple(map(values, *[vectors[id(a)]
-                                       for a in combo])) != want:
+                if tuple(map(values, *vectors)) != want:
                     continue
                 t = App(c.op, combo)
                 self.keyed += 1
@@ -635,23 +654,6 @@ class KeyedPool:
             for d in self._pools.family.datatypes:
                 self._level(d.name, size)
             self._layers = size + 1
-
-    def _vectors_at(self, rows: list[dict[str, Value]]) -> dict[int, tuple]:
-        # Grammar terms mention no variable but the parameters, so rows
-        # that agree on them share one table.
-        row_set = tuple(tuple(row.get(p.name) for p in self.grammar.params)
-                        for row in rows)
-        vectors, done = self._vectors.get(row_set, ({}, 0))
-        for size in range(done, self._layers):
-            for d in self._pools.family.datatypes:
-                for t in self._pools.level(d.name, size):
-                    vectors[id(t)] = (
-                        tuple(map(OP_VALUES[t.op],
-                                  *[vectors[id(a)] for a in t.args]))
-                        if size else
-                        tuple(evaluate(t, row) for row in rows))
-        self._vectors[row_set] = (vectors, self._layers)
-        return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +698,9 @@ class EnumSession:
             {d.name: set() for d in family.datatypes}
         self.sigs: dict[str, dict[tuple, Term]] = \
             {d.name: {} for d in family.datatypes}
+        # values_at's table at the points: a candidate's signature is
+        # composed from its retained children's values.
+        self.values: dict[int, tuple[Term, tuple]] = {}
 
     # -- candidate admission ------------------------------------------------
 
@@ -711,7 +716,7 @@ class EnumSession:
                            f"{print_term(key)}")
             return "pruned_rewriter"
         if self.points is not None:
-            sig = signature_of(term, self.family, self.points)
+            sig = signature_of(term, self.family, self.points, self.values)
             seen = self.sigs[dtname]
             if self.sb_examples and sig in seen:
                 self.stats.pruned_signature += 1
@@ -751,8 +756,8 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
     the conjecture. ``sb_rewriter`` and ``sb_examples`` switch the
     rewriter and the example-signature pruning.
 
-    An input-output example conjecture is decided by evaluating each
-    candidate at its points, with no solver call; every other
+    An input-output example conjecture is decided by the candidates'
+    signatures at its points, with no solver call; every other
     conjecture by counterexample-guided checks. A candidate is first
     evaluated at each counterexample point under the interpretation of
     the function by the candidate; only one that holds at every point

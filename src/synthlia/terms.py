@@ -267,8 +267,8 @@ def well_sorted(t: Term) -> bool:
 
 # Each builtin operator's value from its arguments' values: the one
 # statement of the operators' meaning. ``evaluate`` applies it, and
-# ``enumsearch.KeyedPool`` composes a term's values at sample points
-# from its children's with it.
+# ``enumsearch.values_at`` composes a pooled term's values at a list of
+# rows from its children's with it.
 OP_VALUES: dict[str, Callable[..., Value]] = {
     "+": lambda *vals: sum(vals),
     "*": operator.mul,

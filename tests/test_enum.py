@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -25,7 +26,7 @@ from synthlia.enumsearch import (
     signature_of,
     solve_enum,
 )
-from synthlia import enumsearch
+from synthlia import enumsearch, rewrite
 from synthlia.driver import SolverConfig, Success, solve
 from synthlia.problem import apply_solution
 from synthlia.qfsolver import are_equivalent
@@ -35,6 +36,7 @@ from synthlia.terms import (
     INT,
     FunSort,
     IntConst,
+    add,
     evaluate,
     ge,
     ite,
@@ -165,6 +167,57 @@ def test_signature_of_on_example_points():
         signature_of(x, fam, [])
     with pytest.raises(ValueError):
         signature_of(x, fam, [(1, 0), (2,)])
+
+
+def test_a_session_keeps_the_terms_of_its_values():
+    # Each term is dropped after its decision and nothing else holds it
+    # (the normalize memo is cleared), so a later term may get its id:
+    # the session's table must keep the terms its values belong to.
+    session = EnumSession(io_family(), points=EQ12_POINTS)
+    envs = [{"x": a, "y": b} for a, b in EQ12_POINTS]
+
+    def values(t):
+        return tuple(evaluate(t, env) for env in envs)
+
+    assert session.process("I", x) == "retained"
+    seen = {values(x)}
+    gc.freeze()  # so that each collection walks only the new objects
+    try:
+        for k in range(1, 3001):
+            # Odd k: x's values at every point (y >= 0 there); even k:
+            # new values.
+            t = ite(le(y, IntConst(-k)), IntConst(k), x) if k % 2 else \
+                add(x, IntConst(k))
+            want = "pruned_signature" if values(t) in seen else "retained"
+            seen.add(values(t))
+            assert session.process("I", t) == want, k
+            del t
+            rewrite.normalize.cache_clear()
+            gc.collect()
+    finally:
+        gc.unfreeze()
+    for by_sig in session.sigs.values():
+        for sig, t in by_sig.items():
+            assert values(t) == sig, print_term(t)
+
+
+def test_only_leaves_are_evaluated_for_signatures(monkeypatch):
+    # A composed candidate's signature is composed from its retained
+    # children's values; only a leaf is evaluated, once per point.
+    calls = []
+    real = enumsearch.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumsearch, "evaluate", counting)
+    session = EnumSession(io_family(), points=EQ12_POINTS)
+    list(session.candidates(3))
+    leaves = sum(c.arity() == 0 for d in session.family.datatypes
+                 for c in d.constructors)
+    assert session.stats.retained > leaves
+    assert 0 < len(calls) <= leaves * len(EQ12_POINTS)
 
 
 # ---------------------------------------------------------------------------
