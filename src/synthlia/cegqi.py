@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .classify import FirstOrderForm, shared_invocation_tuple
-from .enumsearch import KeyedPool, Sample, check_deadline
+from .enumsearch import KeyedPool, Sample, SolveStats, check_deadline
 from .problem import Grammar, SynthProblem, Solution
 from .rewrite import canonical_key, normalize, unit_bound
 from .qfsolver import (
@@ -153,7 +153,7 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
 
 def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64,
                 deadline: Optional[float] = None,
-                stats: Optional[dict] = None):
+                stats: Optional[SolveStats] = None):
     """Run the instantiation loop; returns Solved or GaveUp.
 
     The result carries the instance trace; the solution itself is left
@@ -161,11 +161,13 @@ def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64,
     naming. Raises TimedOut once ``deadline`` (a time.monotonic() value)
     has passed at the start of an iteration.
 
-    All solver calls of the loop share one ``Conflicts`` store. With
-    ``stats``, its counts are added to ``cegqi_conflicts`` (conflicts
-    learned) and ``cegqi_pruned`` (branches they cut), also when the
-    loop gives up or times out.
+    All solver calls of the loop share one ``Conflicts`` store. The
+    loop adds to ``stats`` (a fresh record by default) its instances
+    (``cegqi_iterations``) and the store's counts: ``cegqi_conflicts``
+    (conflicts learned) and ``cegqi_pruned`` (branches they cut), also
+    when the loop gives up or times out.
     """
+    stats = SolveStats() if stats is None else stats
     instances: list[tuple[Term, ...]] = []
     conflicts = Conflicts()
     try:
@@ -173,11 +175,9 @@ def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64,
     except ResourceLimit:
         return GaveUp("resource-limit", InstanceTrace(tuple(instances)))
     finally:
-        if stats is not None:
-            stats["cegqi_conflicts"] = (stats.get("cegqi_conflicts", 0)
-                                        + conflicts.learned)
-            stats["cegqi_pruned"] = (stats.get("cegqi_pruned", 0)
-                                     + conflicts.pruned)
+        stats.cegqi_iterations += len(instances)
+        stats.cegqi_conflicts += conflicts.learned
+        stats.cegqi_pruned += conflicts.pruned
 
 
 def _cegqi_loop(fo: FirstOrderForm, instances, max_iters, deadline,
@@ -301,27 +301,21 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
 
 def reconstruct(s: Solution, g: Grammar, budget: int = 3,
                 deadline: Optional[float] = None,
-                stats: Optional[dict] = None) -> Solution:
+                stats: Optional[SolveStats] = None) -> Solution:
     """Equivalent solution whose bodies the grammar generates.
 
     All bodies are reconstructed from one ``KeyedPool`` of ``g``, which
-    grows as the lookups ask for sizes. With ``stats``, the pool's
-    counts are added to its ``recon_keyed`` (terms keyed) and
-    ``recon_scanned`` (budget-level candidates whose values were
-    computed), also when reconstruction fails.
+    grows as the lookups ask for sizes. The pool adds to ``stats`` (a
+    fresh record by default) as it works: ``recon_keyed`` counts the
+    terms keyed, ``recon_scanned`` the budget-level candidates whose
+    values were computed, also when reconstruction fails.
 
     Raises ReconstructionFailure when the size budget is exhausted and
     TimedOut once ``deadline`` passes.
     """
     out: Solution = {}
-    pool = KeyedPool(g)
-    try:
-        for name, lam in s.items():
-            body = _recon_term(lam.body, g.start, g, budget, pool, deadline)
-            out[name] = Lambda(lam.params, body)
-    finally:
-        if stats is not None:
-            stats["recon_keyed"] = stats.get("recon_keyed", 0) + pool.keyed
-            stats["recon_scanned"] = (stats.get("recon_scanned", 0)
-                                      + pool.scanned)
+    pool = KeyedPool(g, stats)
+    for name, lam in s.items():
+        body = _recon_term(lam.body, g.start, g, budget, pool, deadline)
+        out[name] = Lambda(lam.params, body)
     return out

@@ -15,7 +15,7 @@ problems are first offered to the single-invocation normalizer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .cegqi import (
@@ -34,8 +34,8 @@ from .classify import (
     to_single_invocation,
 )
 from .enumsearch import (
-    EnumStats,
     Exhausted,
+    SolveStats,
     TimedOut,
     default_grammar,
     grammar_to_datatypes,
@@ -65,13 +65,13 @@ class SolverConfig:
 class Success:
     solution: Solution
     strategy: str
-    stats: dict
+    stats: dict = field(default_factory=dict)
 
 
 @dataclass
 class GaveUp:
     reason: str
-    stats: dict
+    stats: dict = field(default_factory=dict)
 
 
 SolveOutput = Union[Success, GaveUp]
@@ -101,19 +101,10 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
                          f"{', '.join(MODES)}")
     t0 = time.monotonic()
     deadline = t0 + cfg.timeout if cfg.timeout is not None else None
-    stats: dict = {
-        "enumerated": 0, "pruned_rewriter": 0, "pruned_signature": 0,
-        # Always 0: the enumeration keeps no blocking patterns. The key
-        # stays because perfbench/run.py reads it, and
-        # tests/test_stats_keys.py pins what run.py reads.
-        "blocked_exact": 0, "retained": 0,
-        "cegqi_iterations": 0, "counterexample_points": 0,
-        "recon_keyed": 0, "recon_scanned": 0,
-        "cegqi_conflicts": 0, "cegqi_pruned": 0,
-    }
+    stats = SolveStats()
 
     def finish(out: SolveOutput) -> SolveOutput:
-        out.stats["wall_time"] = time.monotonic() - t0
+        out.stats = dict(vars(stats), wall_time=time.monotonic() - t0)
         return out
 
     q = p
@@ -152,22 +143,20 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
             if isinstance(out, Success):
                 return finish(out)
             if route == "cegqi":
-                return finish(GaveUp(f"cegqi-failed({out})", stats))
+                return finish(GaveUp(f"cegqi-failed({out})"))
             _trace(cfg, "portfolio: falling back to enumeration")
         return finish(_run_enum(p, q, cfg, stats, deadline))
     except Exhausted as e:
-        _enum_counts(stats, e.stats)
-        return finish(GaveUp(f"exhausted(size={e.size_cap})", stats))
-    except TimedOut as e:
-        if e.stats is not None:  # None when the CEGQI loop timed out
-            _enum_counts(stats, e.stats)
-        return finish(GaveUp(f"timeout({cfg.timeout:g}s)", stats))
+        return finish(GaveUp(f"exhausted(size={e.size_cap})"))
+    except TimedOut:
+        return finish(GaveUp(f"timeout({cfg.timeout:g}s)"))
     except ResourceLimit:
-        return finish(GaveUp("resource-limit", stats))
+        return finish(GaveUp("resource-limit"))
 
 
 def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
-               cfg: SolverConfig, stats: dict, reconstruct_after: bool,
+               cfg: SolverConfig, stats: SolveStats,
+               reconstruct_after: bool,
                deadline: Optional[float],
                recon_deadline: Optional[float]) -> Union[Success, str]:
     """The CEGQI route, or the reason to fall back. A timeout of the
@@ -177,7 +166,6 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
     fo = to_first_order(q)
     res = solve_cegqi(fo, max_iters=cfg.max_iters, deadline=deadline,
                       stats=stats)
-    stats["cegqi_iterations"] = len(res.trace.instances)
     if isinstance(res, CegqiGaveUp):
         _trace(cfg, f"cegqi gave up: {res.reason}")
         return res.reason
@@ -204,25 +192,24 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
     if failed is not None:
         _trace(cfg, f"cegqi solution failed verification: {failed}")
         return failed
-    return Success(sol, strategy, stats)
+    return Success(sol, strategy)
 
 
 def _run_enum(orig: SynthProblem, q: SynthProblem, cfg: SolverConfig,
-              stats: dict, deadline: Optional[float]) -> SolveOutput:
+              stats: SolveStats, deadline: Optional[float]) -> SolveOutput:
     if len(q.functions) != 1:
-        return GaveUp("enumeration handles a single function", stats)
+        return GaveUp("enumeration handles a single function")
     f = q.functions[0]
     grammar = f.grammar or default_grammar(f.fsort, f.param_names)
     family = grammar_to_datatypes(grammar)
-    sol, estats = solve_enum(q, family, max_size=cfg.max_size,
-                             sb_rewriter=cfg.sb_rewriter,
-                             sb_examples=cfg.sb_examples,
-                             trace=cfg.trace, deadline=deadline)
-    _enum_counts(stats, estats)
+    sol, _ = solve_enum(q, family, max_size=cfg.max_size,
+                        sb_rewriter=cfg.sb_rewriter,
+                        sb_examples=cfg.sb_examples,
+                        trace=cfg.trace, deadline=deadline, stats=stats)
     failed = _verify_failure(orig, sol) if cfg.verify else None
     if failed is not None:
-        return GaveUp(failed, stats)
-    return Success(sol, "enum", stats)
+        return GaveUp(failed)
+    return Success(sol, "enum")
 
 
 def _verify_failure(orig: SynthProblem, sol: Solution) -> Optional[str]:
@@ -234,11 +221,3 @@ def _verify_failure(orig: SynthProblem, sol: Solution) -> Optional[str]:
     except ResourceLimit:
         return "verification-resource-limit"
     return None if ok else "verification-failed"
-
-
-def _enum_counts(stats: dict, estats: EnumStats) -> None:
-    stats.update(enumerated=estats.enumerated,
-                 retained=estats.retained,
-                 pruned_rewriter=estats.pruned_rewriter,
-                 pruned_signature=estats.pruned_signature,
-                 counterexample_points=estats.counterexample_points)

@@ -64,18 +64,14 @@ from .terms import (
 class Exhausted(Exception):
     """The enumeration hit its size cap without finding a solution."""
 
-    def __init__(self, size_cap: int, stats: "EnumStats"):
+    def __init__(self, size_cap: int):
         super().__init__(f"search exhausted at size {size_cap}")
         self.size_cap = size_cap
-        self.stats = stats
 
 
 class TimedOut(Exception):
-    """The deadline passed while candidates were being enumerated."""
-
-    def __init__(self, stats: Optional["EnumStats"] = None):
-        super().__init__("deadline passed")
-        self.stats = stats
+    """The deadline passed: while candidates were being enumerated, at
+    the start of a CEGQI iteration, or during reconstruction."""
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +526,11 @@ class Pools:
             yield from self.level(dtname, size)
 
 
-def check_deadline(deadline: Optional[float],
-                   stats: Optional[EnumStats] = None) -> None:
-    """Raise TimedOut, carrying ``stats``, once ``deadline`` (a
-    time.monotonic() value, or None for no deadline) has passed."""
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise TimedOut once ``deadline`` (a time.monotonic() value, or
+    None for no deadline) has passed."""
     if deadline is not None and time.monotonic() > deadline:
-        raise TimedOut(stats)
+        raise TimedOut("deadline passed")
 
 
 Sample = tuple[list[dict[str, Value]], tuple]  # rows, values at the rows
@@ -546,14 +541,14 @@ class KeyedPool:
     grammar is compiled once, on the first call, and each (datatype,
     size) level is built and keyed once. A term is admitted only when
     its canonical key is new for its datatype, so each level is
-    composed from one representative per normal form. ``keyed`` counts
-    the terms keyed, ``scanned`` the budget-level candidates whose
-    values a sampled call composed."""
+    composed from one representative per normal form. The pool adds to
+    ``stats`` (a fresh record by default) as it works: ``recon_keyed``
+    counts the terms keyed, ``recon_scanned`` the budget-level
+    candidates whose values a sampled call composed."""
 
-    def __init__(self, g: Grammar):
+    def __init__(self, g: Grammar, stats: Optional[SolveStats] = None):
         self.grammar = g
-        self.keyed = 0
-        self.scanned = 0
+        self.stats = SolveStats() if stats is None else stats
         self._pools: Optional[Pools] = None
         # Per datatype: canonical key -> term, in level order; and the
         # number of keys after each built (datatype, size) level.
@@ -617,17 +612,17 @@ class KeyedPool:
             for combo, vectors in zip(itertools.product(*parts),
                                       itertools.product(*value_parts)):
                 check_deadline(deadline)
-                self.scanned += 1
+                self.stats.recon_scanned += 1
                 if tuple(map(values, *vectors)) != want:
                     continue
                 t = App(c.op, combo)
-                self.keyed += 1
+                self.stats.recon_keyed += 1
                 out.setdefault(canonical_key(t), t)
         return out
 
     def _admit(self, dtname: str, t: Term) -> bool:
         check_deadline(self._deadline)
-        self.keyed += 1
+        self.stats.recon_keyed += 1
         key = canonical_key(t)
         seen = self._keys[dtname]
         if key in seen:
@@ -661,12 +656,24 @@ class KeyedPool:
 
 
 @dataclass
-class EnumStats:
+class SolveStats:
+    """One solve's counts, in the order ``solve`` reports them. Each
+    layer adds to the record where the counted event happens."""
+
     enumerated: int = 0
-    retained: int = 0
     pruned_rewriter: int = 0
     pruned_signature: int = 0
+    # Always 0: the enumeration keeps no blocking patterns. The key
+    # stays because perfbench/run.py reads it, and
+    # tests/test_stats_keys.py pins what run.py reads.
+    blocked_exact: int = 0
+    retained: int = 0
+    cegqi_iterations: int = 0
     counterexample_points: int = 0
+    recon_keyed: int = 0
+    recon_scanned: int = 0
+    cegqi_conflicts: int = 0
+    cegqi_pruned: int = 0
 
     def consistent(self) -> bool:
         return self.enumerated == (self.retained + self.pruned_rewriter
@@ -679,19 +686,21 @@ class EnumSession:
     pools admit. A composed term is retained only when its key is new
     for its datatype and, when there are example ``points``, so is its
     signature; there is no other pruning. ``sb_rewriter`` and
-    ``sb_examples`` switch the two tests."""
+    ``sb_examples`` switch the two tests. The session adds its counts
+    to ``stats``, a fresh record by default."""
 
     def __init__(self, family: DatatypeFamily, *,
                  sb_rewriter: bool = True,
                  sb_examples: bool = True,
                  points: Optional[list] = None,
-                 trace: Optional[Callable[[str], None]] = None):
+                 trace: Optional[Callable[[str], None]] = None,
+                 stats: Optional[SolveStats] = None):
         self.family = family
         self.sb_rewriter = sb_rewriter
         self.sb_examples = sb_examples
         self.points = points
         self.trace = trace
-        self.stats = EnumStats()
+        self.stats = SolveStats() if stats is None else stats
         # Per datatype: the canonical keys retained, and each signature
         # retained with its first retained term.
         self.keys: dict[str, set[Term]] = \
@@ -736,7 +745,7 @@ class EnumSession:
         is being built."""
 
         def admit(dtname: str, term: Term) -> bool:
-            check_deadline(deadline, self.stats)
+            check_deadline(deadline)
             return self.process(dtname, term) == "retained"
 
         return Pools(self.family, admit).upto(self.family.start, max_size)
@@ -750,11 +759,14 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
                max_size: int = 6, sb_rewriter: bool = True,
                sb_examples: bool = True,
                trace: Optional[Callable[[str], None]] = None,
-               deadline: Optional[float] = None
-               ) -> tuple[Solution, EnumStats]:
+               deadline: Optional[float] = None,
+               stats: Optional[SolveStats] = None
+               ) -> tuple[Solution, SolveStats]:
     """Enumerate candidates of up to ``max_size`` until one satisfies
     the conjecture. ``sb_rewriter`` and ``sb_examples`` switch the
-    rewriter and the example-signature pruning.
+    rewriter and the example-signature pruning. The search adds its
+    counts to ``stats`` (a fresh record by default) and returns it with
+    the solution.
 
     An input-output example conjecture is decided by the candidates'
     signatures at its points, with no solver call; every other
@@ -777,11 +789,11 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
         want = tuple(outs[0] for _, outs in cls.points)
     session = EnumSession(family, sb_rewriter=sb_rewriter,
                           sb_examples=sb_examples, points=points,
-                          trace=trace)
+                          trace=trace, stats=stats)
     cex: list[dict] = []
     params = f.param_vars()
     for body in session.candidates(max_size, deadline):
-        check_deadline(deadline, session.stats)
+        check_deadline(deadline)
         if points is not None:
             # A level is admitted whole before its first term is
             # yielded, so the first match of the level is recorded.
@@ -801,4 +813,4 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
             model.setdefault(u.name, 0 if u.sort == INT else False)
         cex.append({u.name: model[u.name] for u in p.universals})
         session.stats.counterexample_points += 1
-    raise Exhausted(max_size, session.stats)
+    raise Exhausted(max_size)

@@ -18,6 +18,7 @@ from synthlia.enumsearch import (
     Pools,
     RewriterDup,
     SignatureDup,
+    SolveStats,
     TimedOut,
     default_grammar,
     generalize_pattern,
@@ -449,11 +450,18 @@ def test_a_pool_cut_short_by_the_deadline_answers_as_a_fresh_one(
         list(g.terms_upto(3).items())
 
 
-def test_candidates_stop_at_the_deadline():
-    session = EnumSession(nsi_family())
-    with pytest.raises(TimedOut) as exc:
-        next(session.candidates(3, deadline=0.0))
-    assert exc.value.stats is session.stats
+def test_candidates_stop_at_the_deadline(monkeypatch):
+    # The clock ticks once per deadline check, and each check comes
+    # just before a candidate is processed: six pass, the seventh stops.
+    ticks = itertools.count()
+    monkeypatch.setattr(enumsearch, "time",
+                        SimpleNamespace(monotonic=lambda: next(ticks)))
+    stats = SolveStats()
+    session = EnumSession(nsi_family(), stats=stats)
+    with pytest.raises(TimedOut):
+        list(session.candidates(3, deadline=5))
+    assert session.stats is stats
+    assert stats.enumerated == 6 and stats.consistent()
 
 
 PRUNING_SESSIONS = {
@@ -525,9 +533,10 @@ def test_solve_enum_symmetric_max():
 
 def test_solve_enum_exhausts_at_small_caps():
     p = load_golden("max_sym.sy")
-    with pytest.raises(Exhausted) as exc:
-        solve_enum(p, nsi_family(), max_size=0)
-    assert exc.value.stats.enumerated > 0
+    stats = SolveStats()
+    with pytest.raises(Exhausted):
+        solve_enum(p, nsi_family(), max_size=0, stats=stats)
+    assert stats.enumerated > 0 and stats.consistent()
 
 
 def test_solve_enum_with_io_points():

@@ -1,13 +1,16 @@
 import itertools
 import time
+from types import SimpleNamespace
 
 import pytest
 
 import synthlia.cegqi
 import synthlia.driver
+from synthlia import enumsearch
 from synthlia.cli import main as cli_main
 from synthlia.driver import GaveUp, SolverConfig, Success, solve, \
     verify_solution
+from synthlia.enumsearch import SolveStats
 from synthlia.problem import apply_solution
 from synthlia.qfsolver import ResourceLimit
 from synthlia.rewrite import canonical_key
@@ -251,13 +254,15 @@ def test_gave_up_reports_reason_and_stats():
 
 def test_timeout_is_honoured_inside_a_pool_level():
     # Without a grammar this is enumerated over the default grammar,
-    # whose size-6 level alone takes far longer than the timeout.
+    # whose size-6 level alone takes far longer than the timeout: at
+    # offset 3 no candidate is found in 30 s. Offset 2 is solved in
+    # under 2 s when this test runs alone.
     p = parse_problem("""
         (set-logic LIA)
         (synth-fun f ((x Int) (y Int)) Int)
         (declare-var x Int)
         (declare-var y Int)
-        (constraint (>= (f x y) (+ x 2)))
+        (constraint (>= (f x y) (+ x 3)))
         (constraint (= (f x y) (f y x)))
         (check-synth)""")
     t0 = time.monotonic()
@@ -489,6 +494,62 @@ def test_stats_keep_the_conflicts_of_a_loop_that_runs_out(monkeypatch):
     assert out.reason == "cegqi-failed(resource-limit)"
     assert out.stats["cegqi_conflicts"] > 0
     assert out.stats["cegqi_pruned"] > 0
+
+
+def _second_check_runs_out(monkeypatch):
+    # max_sym.sy's enumeration makes several solver calls; the second
+    # runs out of its budget.
+    real = enumsearch.check_sat
+    calls = []
+
+    def second_runs_out(f):
+        calls.append(f)
+        if len(calls) == 2:
+            raise ResourceLimit("propositional search budget exceeded")
+        return real(f)
+
+    monkeypatch.setattr(enumsearch, "check_sat", second_runs_out)
+
+
+def test_an_enumeration_that_runs_out_keeps_its_counts(monkeypatch):
+    _second_check_runs_out(monkeypatch)
+    out = solve(load_golden("max_sym.sy"))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "resource-limit"
+    assert out.stats["enumerated"] > 0
+    assert out.stats["counterexample_points"] == 1
+
+
+def test_a_cegqi_loop_stopped_by_the_deadline_keeps_its_iterations(
+        monkeypatch):
+    # The loop checks the deadline once per iteration: the first two
+    # checks pass, the third stops MAX5's loop, which needs more.
+    checks = itertools.count()
+    monkeypatch.setattr(enumsearch, "time", SimpleNamespace(
+        monotonic=lambda: 0.0 if next(checks) < 2 else float("inf")))
+    out = solve(parse_problem(MAX5), SolverConfig(timeout=60))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "timeout(60s)"
+    assert out.stats["cegqi_iterations"] == 2
+    assert out.stats["cegqi_conflicts"] > 0
+
+
+@pytest.mark.parametrize("name,cfg,ends", [
+    ("between.sy", SolverConfig(), "cegqi"),
+    ("between_grammar.sy", SolverConfig(), "cegqi+reconstruction"),
+    ("max_sym.sy", SolverConfig(), "enum"),
+    ("max_sym.sy", SolverConfig(mode="enum", max_size=1),
+     "exhausted(size=1)"),
+    ("between.sy", SolverConfig(timeout=1e-9), "timeout(1e-09s)"),
+    ("max_sym.sy", SolverConfig(timeout=1e-9), "timeout(1e-09s)"),
+    ("max_sym.sy", SolverConfig(), "resource-limit"),
+])
+def test_every_exit_reports_the_same_counts(name, cfg, ends, monkeypatch):
+    if ends == "resource-limit":
+        _second_check_runs_out(monkeypatch)
+    out = solve(load_golden(name), cfg)
+    assert (out.strategy if isinstance(out, Success) else out.reason) == ends
+    assert list(out.stats) == list(vars(SolveStats())) + ["wall_time"]
 
 
 def test_cli_trace_on_stderr(capsys):
