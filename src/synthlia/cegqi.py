@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .classify import FirstOrderForm, shared_invocation_tuple
-from .enumsearch import KeyedPool, Sample, SolveStats, check_deadline
+from .enumsearch import Context, KeyedPool, Sample
 from .problem import Grammar, SynthProblem, Solution
 from .rewrite import canonical_key, normalize, unit_bound
 from .qfsolver import (
@@ -152,45 +152,45 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
 
 
 def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64,
-                deadline: Optional[float] = None,
-                stats: Optional[SolveStats] = None):
+                ctx: Optional[Context] = None):
     """Run the instantiation loop; returns Solved or GaveUp.
 
     The result carries the instance trace; the solution itself is left
     for ``extract_solution`` since it needs the problem for parameter
-    naming. Raises TimedOut once ``deadline`` (a time.monotonic() value)
-    has passed at the start of an iteration.
+    naming. Raises TimedOut once the deadline of ``ctx`` has passed, at
+    the start of an iteration or inside one of its solver calls.
 
     All solver calls of the loop share one ``Conflicts`` store. The
-    loop adds to ``stats`` (a fresh record by default) its instances
-    (``cegqi_iterations``) and the store's counts: ``cegqi_conflicts``
-    (conflicts learned) and ``cegqi_pruned`` (branches they cut), also
-    when the loop gives up or times out.
+    loop adds to the record of ``ctx`` its instances (``cegqi_iterations``)
+    and the store's counts: ``cegqi_conflicts`` (conflicts learned) and
+    ``cegqi_pruned`` (branches they cut), also when the loop gives up
+    or times out.
     """
-    stats = SolveStats() if stats is None else stats
+    ctx = ctx or Context()
     instances: list[tuple[Term, ...]] = []
     conflicts = Conflicts()
     try:
-        return _cegqi_loop(fo, instances, max_iters, deadline, conflicts)
+        return _cegqi_loop(fo, instances, max_iters, ctx, conflicts)
     except ResourceLimit:
         return GaveUp("resource-limit", InstanceTrace(tuple(instances)))
     finally:
-        stats.cegqi_iterations += len(instances)
-        stats.cegqi_conflicts += conflicts.learned
-        stats.cegqi_pruned += conflicts.pruned
+        ctx.stats.cegqi_iterations += len(instances)
+        ctx.stats.cegqi_conflicts += conflicts.learned
+        ctx.stats.cegqi_pruned += conflicts.pruned
 
 
-def _cegqi_loop(fo: FirstOrderForm, instances, max_iters, deadline,
+def _cegqi_loop(fo: FirstOrderForm, instances, max_iters, ctx: Context,
                 conflicts: Conflicts):
     kvars = fo.instvars
     pos_body = normalize(fo.pos_body)
     gamma: list[Term] = []  # the normalized instances
     while True:
-        check_deadline(deadline)
-        core = check_sat(and_(*gamma), conflicts) if gamma else Sat({})
+        ctx.check()
+        core = (check_sat(and_(*gamma), conflicts, ctx.deadline)
+                if gamma else Sat({}))
         if isinstance(core, Unsat):
             return Solved(InstanceTrace(tuple(instances)))
-        full = check_sat(and_(*gamma, pos_body), conflicts)
+        full = check_sat(and_(*gamma, pos_body), conflicts, ctx.deadline)
         if isinstance(full, Unsat):
             return GaveUp("infeasible", InstanceTrace(tuple(instances)))
         if len(instances) >= max_iters:
@@ -244,7 +244,7 @@ def _sample(want: Term, g: Grammar) -> Sample:
 
 
 def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
-                pool: KeyedPool, deadline: Optional[float] = None) -> Term:
+                pool: KeyedPool) -> Term:
     """A term ``nt`` derives that is equivalent to ``t``: ``t`` itself,
     else the smallest term with ``t``'s canonical key, else a repair of
     ``t``'s children under its operator, else the first term up to the
@@ -257,24 +257,23 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
     children's, and builds and keys only the candidates whose values
     equal ``t``'s; the solver sees only them. Equivalent terms agree at
     every row, so no other term can be the key hit or an equivalent
-    term.
+    term. The deadline and the counts are those of the pool's context.
     """
-    check_deadline(deadline)
+    pool.ctx.check()
     if g.generates(t, nt):
         return t
     # Look the normal form up one size level at a time: most solutions
     # match a small term, and the largest level costs the most.
     want = canonical_key(t)
     for size in range(budget):
-        hit = g.terms_upto(size, nt, deadline, pool=pool).get(want)
+        hit = g.terms_upto(size, nt, pool=pool).get(want)
         if hit is not None:
             return hit
-    matching = g.terms_upto(budget, nt, deadline, sample=_sample(want, g),
-                            pool=pool)
+    matching = g.terms_upto(budget, nt, sample=_sample(want, g), pool=pool)
     hit = matching.get(want)
     if hit is not None:
         return hit
-    check_deadline(deadline)
+    pool.ctx.check()
     # Top-level repair: keep the operator, reconstruct children against
     # the nonterminals a matching production assigns them.
     if isinstance(t, App):
@@ -286,36 +285,35 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
                        for a in rhs.args):
                 continue
             try:
-                kids = tuple(_recon_term(a, s.name, g, budget, pool, deadline)
+                kids = tuple(_recon_term(a, s.name, g, budget, pool)
                              for a, s in zip(t.args, rhs.args))
             except ReconstructionFailure:
                 continue
             return App(t.op, kids)
     for c in matching.values():
-        check_deadline(deadline)
-        if are_equivalent(c, t):
+        pool.ctx.check()
+        if are_equivalent(c, t, pool.ctx.deadline):
             return c
     raise ReconstructionFailure(
         f"no generable equivalent of size <= {budget} at {nt}")
 
 
 def reconstruct(s: Solution, g: Grammar, budget: int = 3,
-                deadline: Optional[float] = None,
-                stats: Optional[SolveStats] = None) -> Solution:
+                ctx: Optional[Context] = None) -> Solution:
     """Equivalent solution whose bodies the grammar generates.
 
     All bodies are reconstructed from one ``KeyedPool`` of ``g``, which
-    grows as the lookups ask for sizes. The pool adds to ``stats`` (a
-    fresh record by default) as it works: ``recon_keyed`` counts the
-    terms keyed, ``recon_scanned`` the budget-level candidates whose
-    values were computed, also when reconstruction fails.
+    grows as the lookups ask for sizes. The pool adds to the record of
+    ``ctx`` as it works: ``recon_keyed`` counts the terms keyed,
+    ``recon_scanned`` the budget-level candidates whose values were
+    computed, also when reconstruction fails.
 
     Raises ReconstructionFailure when the size budget is exhausted and
-    TimedOut once ``deadline`` passes.
+    TimedOut at the deadline of ``ctx``, also inside a solver call.
     """
     out: Solution = {}
-    pool = KeyedPool(g, stats)
+    pool = KeyedPool(g, ctx)
     for name, lam in s.items():
-        body = _recon_term(lam.body, g.start, g, budget, pool, deadline)
+        body = _recon_term(lam.body, g.start, g, budget, pool)
         out[name] = Lambda(lam.params, body)
     return out

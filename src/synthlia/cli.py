@@ -54,7 +54,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.max_size <= 0 or args.max_iters <= 0 or args.recon_budget <= 0:
         print("error: caps must be positive", file=sys.stderr)
         return 2
-    if args.timeout is not None and args.timeout <= 0:
+    if args.timeout is not None and not args.timeout > 0:
         print("error: timeout must be positive", file=sys.stderr)
         return 2
     try:

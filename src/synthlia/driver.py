@@ -15,7 +15,7 @@ problems are first offered to the single-invocation normalizer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .cegqi import (
@@ -34,15 +34,14 @@ from .classify import (
     to_single_invocation,
 )
 from .enumsearch import (
+    Context,
     Exhausted,
-    SolveStats,
-    TimedOut,
     default_grammar,
     grammar_to_datatypes,
     solve_enum,
 )
 from .problem import Solution, SynthProblem, apply_solution
-from .qfsolver import ResourceLimit, check_valid
+from .qfsolver import ResourceLimit, TimedOut, check_valid
 
 
 MODES = ("auto", "cegqi", "enum", "portfolio")
@@ -77,10 +76,12 @@ class GaveUp:
 SolveOutput = Union[Success, GaveUp]
 
 
-def verify_solution(p: SynthProblem, s: Solution) -> bool:
+def verify_solution(p: SynthProblem, s: Solution,
+                    deadline: Optional[float] = None) -> bool:
     """T-validity of the instantiated conjecture, plus grammar
-    conformance for every function that carries one."""
-    if not check_valid(apply_solution(p, s)):
+    conformance for every function that carries one. Raises TimedOut
+    once ``deadline`` (a time.monotonic() value) passes."""
+    if not check_valid(apply_solution(p, s), deadline=deadline):
         return False
     for f in p.functions:
         if f.grammar is not None:
@@ -89,9 +90,9 @@ def verify_solution(p: SynthProblem, s: Solution) -> bool:
     return True
 
 
-def _trace(cfg: SolverConfig, msg: str) -> None:
-    if cfg.trace:
-        cfg.trace(msg)
+def _trace(ctx: Context, msg: str) -> None:
+    if ctx.trace:
+        ctx.trace(msg)
 
 
 def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
@@ -100,11 +101,11 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
         raise ValueError(f"unknown mode {cfg.mode!r}; expected one of "
                          f"{', '.join(MODES)}")
     t0 = time.monotonic()
-    deadline = t0 + cfg.timeout if cfg.timeout is not None else None
-    stats = SolveStats()
+    ctx = Context(t0 + cfg.timeout if cfg.timeout is not None else None,
+                  cfg.trace)
 
     def finish(out: SolveOutput) -> SolveOutput:
-        out.stats = dict(vars(stats), wall_time=time.monotonic() - t0)
+        out.stats = dict(vars(ctx.stats), wall_time=time.monotonic() - t0)
         return out
 
     q = p
@@ -113,7 +114,7 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
         try:
             q = to_single_invocation(p)
             cls = classify(q)
-            _trace(cfg, f"normalized to {type(cls).__name__}")
+            _trace(ctx, f"normalized to {type(cls).__name__}")
         except NotTransformable:
             pass
 
@@ -129,23 +130,18 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
         route = "portfolio"
     else:
         route = "cegqi"
-    _trace(cfg, f"route {route} ({type(cls).__name__}, "
+    _trace(ctx, f"route {route} ({type(cls).__name__}, "
                 f"grammar={'yes' if has_grammar else 'no'})")
 
     try:
         if route in ("cegqi", "portfolio"):
-            # Reconstruction gets a fixed 20% slice of the time budget;
-            # past that the portfolio falls through to enumeration.
-            recon_deadline = (t0 + 0.2 * cfg.timeout
-                              if cfg.timeout is not None else None)
-            out = _run_cegqi(p, q, cls, cfg, stats, has_grammar,
-                             deadline, recon_deadline)
+            out = _run_cegqi(p, q, cls, cfg, ctx)
             if isinstance(out, Success):
                 return finish(out)
             if route == "cegqi":
                 return finish(GaveUp(f"cegqi-failed({out})"))
-            _trace(cfg, "portfolio: falling back to enumeration")
-        return finish(_run_enum(p, q, cfg, stats, deadline))
+            _trace(ctx, "portfolio: falling back to enumeration")
+        return finish(_run_enum(p, q, cfg, ctx))
     except Exhausted as e:
         return finish(GaveUp(f"exhausted(size={e.size_cap})"))
     except TimedOut:
@@ -155,23 +151,23 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
 
 
 def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
-               cfg: SolverConfig, stats: SolveStats,
-               reconstruct_after: bool,
-               deadline: Optional[float],
-               recon_deadline: Optional[float]) -> Union[Success, str]:
-    """The CEGQI route, or the reason to fall back. A timeout of the
-    instantiation loop propagates; one of reconstruction falls back."""
+               cfg: SolverConfig, ctx: Context) -> Union[Success, str]:
+    """The CEGQI route, or the reason to fall back. A timeout
+    propagates, except one of reconstruction, which falls back."""
     if isinstance(cls, NonSingleInvocation):
         return "not-single-invocation"
     fo = to_first_order(q)
-    res = solve_cegqi(fo, max_iters=cfg.max_iters, deadline=deadline,
-                      stats=stats)
+    res = solve_cegqi(fo, cfg.max_iters, ctx)
     if isinstance(res, CegqiGaveUp):
-        _trace(cfg, f"cegqi gave up: {res.reason}")
+        _trace(ctx, f"cegqi gave up: {res.reason}")
         return res.reason
     sol = extract_solution(res.trace, q, fo)
     strategy = "cegqi"
-    if reconstruct_after:
+    if any(f.grammar is not None for f in q.functions):
+        # Reconstruction gets a fixed 20% slice of the time budget;
+        # past that the portfolio falls through to enumeration.
+        recon = ctx if cfg.timeout is None else replace(
+            ctx, deadline=ctx.deadline - 0.8 * cfg.timeout)
         try:
             fixed: Solution = {}
             for f in q.functions:
@@ -179,45 +175,43 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
                     fixed[f.name] = sol[f.name]
                 else:
                     one = reconstruct({f.name: sol[f.name]}, f.grammar,
-                                      budget=cfg.recon_budget,
-                                      deadline=recon_deadline,
-                                      stats=stats)
+                                      cfg.recon_budget, recon)
                     fixed[f.name] = one[f.name]
             sol = fixed
             strategy = "cegqi+reconstruction"
         except (ReconstructionFailure, ResourceLimit, TimedOut):
-            _trace(cfg, "reconstruction failed within budget")
+            _trace(ctx, "reconstruction failed within budget")
             return "reconstruction-failed"
-    failed = _verify_failure(orig, sol) if cfg.verify else None
+    failed = _verify_failure(orig, sol, ctx) if cfg.verify else None
     if failed is not None:
-        _trace(cfg, f"cegqi solution failed verification: {failed}")
+        _trace(ctx, f"cegqi solution failed verification: {failed}")
         return failed
     return Success(sol, strategy)
 
 
 def _run_enum(orig: SynthProblem, q: SynthProblem, cfg: SolverConfig,
-              stats: SolveStats, deadline: Optional[float]) -> SolveOutput:
+              ctx: Context) -> SolveOutput:
     if len(q.functions) != 1:
         return GaveUp("enumeration handles a single function")
     f = q.functions[0]
     grammar = f.grammar or default_grammar(f.fsort, f.param_names)
     family = grammar_to_datatypes(grammar)
-    sol, _ = solve_enum(q, family, max_size=cfg.max_size,
+    sol, _ = solve_enum(q, family, ctx, max_size=cfg.max_size,
                         sb_rewriter=cfg.sb_rewriter,
-                        sb_examples=cfg.sb_examples,
-                        trace=cfg.trace, deadline=deadline, stats=stats)
-    failed = _verify_failure(orig, sol) if cfg.verify else None
+                        sb_examples=cfg.sb_examples)
+    failed = _verify_failure(orig, sol, ctx) if cfg.verify else None
     if failed is not None:
         return GaveUp(failed)
     return Success(sol, "enum")
 
 
-def _verify_failure(orig: SynthProblem, sol: Solution) -> Optional[str]:
+def _verify_failure(orig: SynthProblem, sol: Solution,
+                    ctx: Context) -> Optional[str]:
     """None when ``sol`` verifies, else the reason it does not: a
     verification that runs out of its solver budget is a give-up of
-    the route, not of the whole solve."""
+    the route, not of the whole solve; one that runs out of time is."""
     try:
-        ok = verify_solution(orig, sol)
+        ok = verify_solution(orig, sol, ctx.deadline)
     except ResourceLimit:
         return "verification-resource-limit"
     return None if ok else "verification-failed"

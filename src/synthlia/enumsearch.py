@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 from .classify import IOExamples, classify
@@ -37,7 +37,7 @@ from .problem import (
     SynthProblem,
     apply_solution,
 )
-from .qfsolver import Unsat, check_sat
+from .qfsolver import TimedOut, Unsat, check_sat
 from .rewrite import canonical_key, normalize
 from .terms import (
     BOOL,
@@ -67,11 +67,6 @@ class Exhausted(Exception):
     def __init__(self, size_cap: int):
         super().__init__(f"search exhausted at size {size_cap}")
         self.size_cap = size_cap
-
-
-class TimedOut(Exception):
-    """The deadline passed: while candidates were being enumerated, at
-    the start of a CEGQI iteration, or during reconstruction."""
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +521,6 @@ class Pools:
             yield from self.level(dtname, size)
 
 
-def check_deadline(deadline: Optional[float]) -> None:
-    """Raise TimedOut once ``deadline`` (a time.monotonic() value, or
-    None for no deadline) has passed."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimedOut("deadline passed")
-
-
 Sample = tuple[list[dict[str, Value]], tuple]  # rows, values at the rows
 
 
@@ -542,13 +530,13 @@ class KeyedPool:
     size) level is built and keyed once. A term is admitted only when
     its canonical key is new for its datatype, so each level is
     composed from one representative per normal form. The pool adds to
-    ``stats`` (a fresh record by default) as it works: ``recon_keyed``
-    counts the terms keyed, ``recon_scanned`` the budget-level
-    candidates whose values a sampled call composed."""
+    the record of ``ctx`` as it works: ``recon_keyed`` counts the terms
+    keyed, ``recon_scanned`` the budget-level candidates whose values a
+    sampled call composed."""
 
-    def __init__(self, g: Grammar, stats: Optional[SolveStats] = None):
+    def __init__(self, g: Grammar, ctx: Optional[Context] = None):
         self.grammar = g
-        self.stats = SolveStats() if stats is None else stats
+        self.ctx = ctx or Context()
         self._pools: Optional[Pools] = None
         # Per datatype: canonical key -> term, in level order; and the
         # number of keys after each built (datatype, size) level.
@@ -558,10 +546,8 @@ class KeyedPool:
         # values_at's tables, one per row set, by the rows' parameter
         # values: grammar terms mention no other variable.
         self._values: dict[tuple, dict[int, tuple[Term, tuple]]] = {}
-        self._deadline: Optional[float] = None
 
     def smallest(self, max_size: int, nt: str,
-                 deadline: Optional[float] = None,
                  sample: Optional[Sample] = None) -> dict[Term, Term]:
         """Canonical key -> the smallest term ``nt`` derives with that
         key, over the terms with at most ``max_size`` non-nullary
@@ -581,10 +567,8 @@ class KeyedPool:
         unfiltered one restricted to the matching terms, in the same
         order. Every row binds the grammar's parameters.
 
-        Raises TimedOut once ``deadline`` (a time.monotonic() value)
-        passes.
+        Raises TimedOut at the deadline of the pool's context.
         """
-        self._deadline = deadline
         if self._pools is None:
             family = grammar_to_datatypes(self.grammar)
             self._keys = {d.name: {} for d in family.datatypes}
@@ -605,24 +589,25 @@ class KeyedPool:
         below = self._ends[(nt, max(max_size - 1, 0))]
         out = {key: t for key, t in itertools.islice(keys.items(), below)
                if values_at(t, rows, known) == want}
+        check, stats = self.ctx.check, self.ctx.stats
         for c, parts in self._pools.compositions(nt, max_size):
             values = OP_VALUES[c.op]
             value_parts = [[values_at(a, rows, known) for a in part]
                            for part in parts]
             for combo, vectors in zip(itertools.product(*parts),
                                       itertools.product(*value_parts)):
-                check_deadline(deadline)
-                self.stats.recon_scanned += 1
+                check()
+                stats.recon_scanned += 1
                 if tuple(map(values, *vectors)) != want:
                     continue
                 t = App(c.op, combo)
-                self.stats.recon_keyed += 1
+                stats.recon_keyed += 1
                 out.setdefault(canonical_key(t), t)
         return out
 
     def _admit(self, dtname: str, t: Term) -> bool:
-        check_deadline(self._deadline)
-        self.stats.recon_keyed += 1
+        self.ctx.check()
+        self.ctx.stats.recon_keyed += 1
         key = canonical_key(t)
         seen = self._keys[dtname]
         if key in seen:
@@ -680,6 +665,23 @@ class SolveStats:
                                    + self.pruned_signature)
 
 
+@dataclass
+class Context:
+    """One solve's deadline (a time.monotonic() value, or None), trace
+    callback and count record. ``driver.solve`` makes one per solve;
+    every layer takes it, and makes a fresh one when given none. A
+    ``dataclasses.replace`` copy shares the trace and the record."""
+
+    deadline: Optional[float] = None
+    trace: Optional[Callable[[str], None]] = None
+    stats: SolveStats = field(default_factory=SolveStats)
+
+    def check(self) -> None:
+        """Raise TimedOut once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimedOut("deadline passed")
+
+
 class EnumSession:
     """State of one enumerative search: the canonical keys and example
     signatures retained per datatype, which decide what the search's
@@ -687,20 +689,20 @@ class EnumSession:
     for its datatype and, when there are example ``points``, so is its
     signature; there is no other pruning. ``sb_rewriter`` and
     ``sb_examples`` switch the two tests. The session adds its counts
-    to ``stats``, a fresh record by default."""
+    to the record of ``ctx``, traces each pruned term to its trace and
+    stops at its deadline."""
 
-    def __init__(self, family: DatatypeFamily, *,
+    def __init__(self, family: DatatypeFamily,
+                 ctx: Optional[Context] = None, *,
                  sb_rewriter: bool = True,
                  sb_examples: bool = True,
-                 points: Optional[list] = None,
-                 trace: Optional[Callable[[str], None]] = None,
-                 stats: Optional[SolveStats] = None):
+                 points: Optional[list] = None):
         self.family = family
         self.sb_rewriter = sb_rewriter
         self.sb_examples = sb_examples
         self.points = points
-        self.trace = trace
-        self.stats = SolveStats() if stats is None else stats
+        self.ctx = ctx = ctx or Context()
+        self.stats, self.trace = ctx.stats, ctx.trace
         # Per datatype: the canonical keys retained, and each signature
         # retained with its first retained term.
         self.keys: dict[str, set[Term]] = \
@@ -738,14 +740,13 @@ class EnumSession:
         self.keys[dtname].add(key)
         return "retained"
 
-    def candidates(self, max_size: int, deadline: Optional[float] = None
-                   ) -> Iterator[Term]:
+    def candidates(self, max_size: int) -> Iterator[Term]:
         """Retained start-datatype terms, in size order. Raises TimedOut
-        once ``deadline`` (a time.monotonic() value) passes while a level
-        is being built."""
+        once the deadline passes while a level is being built."""
+        check = self.ctx.check
 
         def admit(dtname: str, term: Term) -> bool:
-            check_deadline(deadline)
+            check()
             return self.process(dtname, term) == "retained"
 
         return Pools(self.family, admit).upto(self.family.start, max_size)
@@ -755,18 +756,15 @@ class EnumSession:
 # The solve loop
 
 
-def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
+def solve_enum(p: SynthProblem, family: DatatypeFamily,
+               ctx: Optional[Context] = None, *,
                max_size: int = 6, sb_rewriter: bool = True,
-               sb_examples: bool = True,
-               trace: Optional[Callable[[str], None]] = None,
-               deadline: Optional[float] = None,
-               stats: Optional[SolveStats] = None
-               ) -> tuple[Solution, SolveStats]:
+               sb_examples: bool = True) -> tuple[Solution, SolveStats]:
     """Enumerate candidates of up to ``max_size`` until one satisfies
     the conjecture. ``sb_rewriter`` and ``sb_examples`` switch the
     rewriter and the example-signature pruning. The search adds its
-    counts to ``stats`` (a fresh record by default) and returns it with
-    the solution.
+    counts to the record of ``ctx`` and returns the record with the
+    solution.
 
     An input-output example conjecture is decided by the candidates'
     signatures at its points, with no solver call; every other
@@ -777,7 +775,7 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
     by the solver.
 
     Raises Exhausted when the size cap is reached and TimedOut when
-    ``deadline`` (a time.monotonic() value) passes.
+    the deadline of ``ctx`` passes, also inside a solver call.
     """
     if len(p.functions) != 1:
         raise ValueError("enumeration handles a single function")
@@ -787,13 +785,12 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
     if isinstance(cls, IOExamples) and cls.points:
         points = [ins for ins, _ in cls.points]
         want = tuple(outs[0] for _, outs in cls.points)
-    session = EnumSession(family, sb_rewriter=sb_rewriter,
-                          sb_examples=sb_examples, points=points,
-                          trace=trace, stats=stats)
+    session = EnumSession(family, ctx, sb_rewriter=sb_rewriter,
+                          sb_examples=sb_examples, points=points)
     cex: list[dict] = []
     params = f.param_vars()
-    for body in session.candidates(max_size, deadline):
-        check_deadline(deadline)
+    for body in session.candidates(max_size):
+        session.ctx.check()
         if points is not None:
             # A level is admitted whole before its first term is
             # yielded, so the first match of the level is recorded.
@@ -805,7 +802,7 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily, *,
         if any(not evaluate(p.constraint, env, sol) for env in cex):
             continue
         spec = apply_solution(p, sol)
-        res = check_sat(normalize(not_(spec)))
+        res = check_sat(normalize(not_(spec)), deadline=session.ctx.deadline)
         if isinstance(res, Unsat):
             return sol, session.stats
         model = dict(res.model)

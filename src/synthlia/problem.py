@@ -135,7 +135,6 @@ class Grammar:
     # -- size-ordered pool -------------------------------------------------
 
     def terms_upto(self, max_size: int, nt: Optional[str] = None,
-                   deadline: Optional[float] = None,
                    sample: Optional[tuple] = None, *,
                    pool: Optional[KeyedPool] = None) -> dict[Term, Term]:
         """Canonical key -> the smallest term ``nt`` (default s0) derives
@@ -155,7 +154,7 @@ class Grammar:
             pool = KeyedPool(self)
         elif pool.grammar is not self:
             raise ValueError("the pool belongs to another grammar")
-        return pool.smallest(max_size, nt or self.start, deadline, sample)
+        return pool.smallest(max_size, nt or self.start, sample)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ store never changes a model.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -61,6 +62,10 @@ Assignment = dict
 
 class ResourceLimit(Exception):
     """The solver exceeded its iteration budget; never silently wrong."""
+
+
+class TimedOut(Exception):
+    """The solve's deadline passed, inside a solver call or between calls."""
 
 
 # Steps one check_sat call may take in its propositional search, and
@@ -375,8 +380,10 @@ class _Atom:
 
 
 class _Checker:
-    def __init__(self, f: Term, conflicts: Conflicts):
+    def __init__(self, f: Term, conflicts: Conflicts,
+                 deadline: Optional[float]):
         self.budget = STEP_BUDGET
+        self.deadline = deadline
         self.conflicts = conflicts
         self.atoms: list[_Atom] = []
         self.atom_ids: dict = {}
@@ -479,6 +486,8 @@ class _Checker:
         self.budget -= n
         if self.budget <= 0:
             raise ResourceLimit("propositional search budget exceeded")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimedOut("deadline passed")
 
     def _dpll(self, node, lits, cur: int) -> Optional[Assignment]:
         """The first model below ``lits``; ``cur`` is the mask of their
@@ -575,9 +584,11 @@ def _negate_ge(e: LinExpr) -> LinExpr:
 # Public interface
 
 
-def check_sat(f: Term, conflicts: Optional[Conflicts] = None) -> SatResult:
+def check_sat(f: Term, conflicts: Optional[Conflicts] = None,
+              deadline: Optional[float] = None) -> SatResult:
     """Decide satisfiability of a ground formula; free variables are
     treated as existential and a satisfying assignment is returned.
+    Raises TimedOut at the first step past ``deadline`` (monotonic time).
 
     The theory conflicts the search learns go into ``conflicts``, and
     the search skips the branches that any conflict in it refutes.
@@ -590,7 +601,7 @@ def check_sat(f: Term, conflicts: Optional[Conflicts] = None) -> SatResult:
         raise SortError("check_sat cannot handle unknown functions")
     if conflicts is None:
         conflicts = Conflicts()
-    result = _Checker(f, conflicts).check()
+    result = _Checker(f, conflicts, deadline).check()
     if isinstance(result, Sat):
         # Total model over the formula's variables.
         model = dict(result.model)
@@ -600,14 +611,15 @@ def check_sat(f: Term, conflicts: Optional[Conflicts] = None) -> SatResult:
     return result
 
 
-def check_valid(f: Term) -> bool:
-    return isinstance(check_sat(not_(f)), Unsat)
+def check_valid(f: Term, deadline: Optional[float] = None) -> bool:
+    return isinstance(check_sat(not_(f), deadline=deadline), Unsat)
 
 
-def are_equivalent(t1: Term, t2: Term) -> bool:
+def are_equivalent(t1: Term, t2: Term,
+                   deadline: Optional[float] = None) -> bool:
     """Theory equivalence of two terms of equal base sort, with free
     variables read universally."""
     s1, s2 = sort_of(t1), sort_of(t2)
     if s1 != s2:
         raise SortError("cannot compare terms of different sorts")
-    return isinstance(check_sat(not_(eq(t1, t2))), Unsat)
+    return isinstance(check_sat(not_(eq(t1, t2)), deadline=deadline), Unsat)

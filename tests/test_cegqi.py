@@ -302,12 +302,11 @@ def test_reconstruct_times_out_in_the_budget_scan(monkeypatch):
     timed_out = []
     real = Grammar.terms_upto
 
-    def clocked(self, max_size, nt=None, deadline=None, sample=None, *,
-                pool=None):
+    def clocked(self, max_size, nt=None, sample=None, *, pool=None):
         if sample is not None:
             now.value = 2.0
         try:
-            return real(self, max_size, nt, deadline, sample, pool=pool)
+            return real(self, max_size, nt, sample, pool=pool)
         except enumsearch.TimedOut:
             timed_out.append((max_size, sample is not None))
             raise
@@ -316,7 +315,7 @@ def test_reconstruct_times_out_in_the_budget_scan(monkeypatch):
     g = restricted_grammar()
     with pytest.raises(enumsearch.TimedOut):
         reconstruct({"f": Lambda((x, y), BUDGET_ONLY)}, g, budget=3,
-                    deadline=1.0)
+                    ctx=enumsearch.Context(deadline=1.0))
     assert timed_out == [(3, True)]
 
 

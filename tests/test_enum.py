@@ -12,6 +12,7 @@ from synthlia.enumsearch import (
     Datatype,
     DatatypeFamily,
     DtValue,
+    Context,
     EnumSession,
     Exhausted,
     KeyedPool,
@@ -443,9 +444,10 @@ def test_a_pool_cut_short_by_the_deadline_answers_as_a_fresh_one(
     monkeypatch.setattr(enumsearch, "time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
     g = POOL_GRAMMARS["between_grammar"]()
-    pool = KeyedPool(g)
+    pool = KeyedPool(g, Context(deadline=40))
     with pytest.raises(TimedOut):
-        g.terms_upto(3, deadline=40, pool=pool)
+        g.terms_upto(3, pool=pool)
+    pool.ctx.deadline = None
     assert list(g.terms_upto(3, pool=pool).items()) == \
         list(g.terms_upto(3).items())
 
@@ -457,9 +459,9 @@ def test_candidates_stop_at_the_deadline(monkeypatch):
     monkeypatch.setattr(enumsearch, "time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
     stats = SolveStats()
-    session = EnumSession(nsi_family(), stats=stats)
+    session = EnumSession(nsi_family(), Context(deadline=5, stats=stats))
     with pytest.raises(TimedOut):
-        list(session.candidates(3, deadline=5))
+        list(session.candidates(3))
     assert session.stats is stats
     assert stats.enumerated == 6 and stats.consistent()
 
@@ -535,7 +537,7 @@ def test_solve_enum_exhausts_at_small_caps():
     p = load_golden("max_sym.sy")
     stats = SolveStats()
     with pytest.raises(Exhausted):
-        solve_enum(p, nsi_family(), max_size=0, stats=stats)
+        solve_enum(p, nsi_family(), Context(stats=stats), max_size=0)
     assert stats.enumerated > 0 and stats.consistent()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import synthlia.cegqi
 import synthlia.driver
-from synthlia import enumsearch
+from synthlia import enumsearch, qfsolver
 from synthlia.cli import main as cli_main
 from synthlia.driver import GaveUp, SolverConfig, Success, solve, \
     verify_solution
@@ -388,7 +388,99 @@ def test_learned_conflicts_move_the_failure_boundary_to_max_over_6():
     assert out.reason == "cegqi-failed(verification-resource-limit)"
 
 
-def _out_of_budget(f):
+MAX7 = """
+    (set-logic LIA)
+    (synth-fun f ((a Int) (b Int) (c Int) (d Int) (e Int) (g Int) (h Int))
+               Int)
+    (declare-var a Int)
+    (declare-var b Int)
+    (declare-var c Int)
+    (declare-var d Int)
+    (declare-var e Int)
+    (declare-var g Int)
+    (declare-var h Int)
+    (constraint (>= (f a b c d e g h) a))
+    (constraint (>= (f a b c d e g h) b))
+    (constraint (>= (f a b c d e g h) c))
+    (constraint (>= (f a b c d e g h) d))
+    (constraint (>= (f a b c d e g h) e))
+    (constraint (>= (f a b c d e g h) g))
+    (constraint (>= (f a b c d e g h) h))
+    (constraint (or (= (f a b c d e g h) a) (= (f a b c d e g h) b)
+                    (= (f a b c d e g h) c) (= (f a b c d e g h) d)
+                    (= (f a b c d e g h) e) (= (f a b c d e g h) g)
+                    (= (f a b c d e g h) h)))
+    (check-synth)"""
+
+
+def _fake_clock(monkeypatch):
+    """One clock for the driver, the searches and the solver that
+    advances by ``step`` seconds (0 at first) at every read."""
+    now = SimpleNamespace(value=0.0, step=0.0)
+
+    def monotonic():
+        now.value += now.step
+        return now.value
+
+    for module in (synthlia.driver, enumsearch, qfsolver):
+        monkeypatch.setattr(module, "time", SimpleNamespace(
+            monotonic=monotonic))
+    return now
+
+
+def test_a_solver_call_stops_at_the_deadline(monkeypatch):
+    # MAX7's loop makes a few iterations before one of its solver calls
+    # runs out of steps (resource-limit); at one second per clock read
+    # only a call that reads the clock itself sees 60 s pass.
+    _fake_clock(monkeypatch).step = 1.0
+    out = solve(parse_problem(MAX7), SolverConfig(timeout=60))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "timeout(60s)"
+    assert out.stats["cegqi_iterations"] < 60
+
+
+def test_a_verification_stops_at_the_deadline(monkeypatch):
+    # The clock stands still until verification starts, then advances
+    # one second per read: the loop finds its answer, and only the
+    # validity check, which otherwise runs out of steps, sees 60 s pass.
+    now = _fake_clock(monkeypatch)
+    real = synthlia.driver.verify_solution
+
+    def ticking(*args):
+        now.step = 1.0
+        return real(*args)
+
+    monkeypatch.setattr(synthlia.driver, "verify_solution", ticking)
+    out = solve(parse_problem(MAX6), SolverConfig(verify=True, timeout=60))
+    assert isinstance(out, GaveUp)
+    assert out.reason == "timeout(60s)"
+
+
+def test_reconstruction_gets_a_fifth_of_the_timeout(monkeypatch):
+    # The clock advances only inside reconstruction, by 1% of the
+    # timeout per read: reconstruction keys terms until its 20% slice
+    # has passed, and enumeration then solves well within the rest.
+    now = _fake_clock(monkeypatch)
+    real = synthlia.driver.reconstruct
+
+    def ticking(*args, **kwargs):
+        now.step = 0.01
+        try:
+            return real(*args, **kwargs)
+        finally:
+            now.step = 0.0
+
+    monkeypatch.setattr(synthlia.driver, "reconstruct", ticking)
+    out = solve(load_golden("between_grammar.sy"), SolverConfig(timeout=1))
+    assert isinstance(out, Success), getattr(out, "reason", None)
+    assert out.strategy == "enum"
+    assert 0.2 < now.value < 1
+    # Reconstruction's counts stay in the solve's one record.
+    assert out.stats["recon_keyed"] > 0
+    assert out.stats["enumerated"] > 0
+
+
+def _out_of_budget(f, deadline=None):
     raise ResourceLimit("propositional search budget exceeded")
 
 
@@ -406,9 +498,9 @@ def test_portfolio_falls_back_when_verification_runs_out(monkeypatch):
     real = synthlia.driver.check_valid
     calls = []
 
-    def first_runs_out(f):
+    def first_runs_out(f, deadline=None):
         calls.append(f)
-        return _out_of_budget(f) if len(calls) == 1 else real(f)
+        return _out_of_budget(f) if len(calls) == 1 else real(f, deadline)
 
     monkeypatch.setattr(synthlia.driver, "check_valid", first_runs_out)
     out = solve(load_golden("between_grammar.sy"), SolverConfig(verify=True))
@@ -482,11 +574,11 @@ def test_stats_keep_the_conflicts_of_a_loop_that_runs_out(monkeypatch):
     real = synthlia.cegqi.check_sat
     calls = []
 
-    def ninth_runs_out(f, conflicts=None):
+    def ninth_runs_out(f, conflicts=None, deadline=None):
         calls.append(f)
         if len(calls) == 9:
             raise ResourceLimit("propositional search budget exceeded")
-        return real(f, conflicts)
+        return real(f, conflicts, deadline)
 
     monkeypatch.setattr(synthlia.cegqi, "check_sat", ninth_runs_out)
     out = solve(parse_problem(MAX5))
@@ -502,11 +594,11 @@ def _second_check_runs_out(monkeypatch):
     real = enumsearch.check_sat
     calls = []
 
-    def second_runs_out(f):
+    def second_runs_out(f, deadline=None):
         calls.append(f)
         if len(calls) == 2:
             raise ResourceLimit("propositional search budget exceeded")
-        return real(f)
+        return real(f, deadline=deadline)
 
     monkeypatch.setattr(enumsearch, "check_sat", second_runs_out)
 
@@ -582,7 +674,8 @@ def test_cli_input_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--max-size", "0"),
                                         ("--timeout", "0"),
-                                        ("--timeout", "-1")])
+                                        ("--timeout", "-1"),
+                                        ("--timeout", "nan")])
 def test_cli_rejects_nonpositive_caps(capsys, flag, value):
     rc = cli_main([str(GOLDEN / "between.sy"), flag, value])
     capsys.readouterr()

@@ -3,11 +3,18 @@
 charged one step of the propositional budget."""
 
 import random
+import time
 
 import pytest
 
 from synthlia import qfsolver
-from synthlia.qfsolver import ResourceLimit, Sat, check_sat, check_valid
+from synthlia.qfsolver import (
+    ResourceLimit,
+    Sat,
+    TimedOut,
+    check_sat,
+    check_valid,
+)
 from synthlia.rewrite import atom_diff
 from synthlia.terms import (
     IntConst,
@@ -58,6 +65,16 @@ def test_each_lift_is_charged_to_the_step_budget(monkeypatch):
     monkeypatch.setattr(qfsolver, "STEP_BUDGET", 2000)
     with pytest.raises(ResourceLimit):
         check_sat(f)
+
+
+def test_a_deadline_stops_a_single_call():
+    # Proving this formula valid takes about 6 s, most of it in the
+    # 21**4 lifts; the deadline is read at every charged step.
+    f = not_(le(_chain_sum(4, 20), IntConst(80)))
+    t0 = time.monotonic()
+    with pytest.raises(TimedOut):
+        check_sat(f, deadline=t0 + 0.2)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_each_ite_condition_is_linearized_once(monkeypatch):
