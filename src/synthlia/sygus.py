@@ -17,8 +17,7 @@ by a production list::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .problem import Grammar, SynthFun, SynthProblem, Solution
 from .terms import (
@@ -45,8 +44,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     line: int
     col: int
@@ -54,34 +52,21 @@ class _Tok:
 
 SExpr = Union[_Tok, list]
 
+# A parenthesis, an atom, a comment or a newline; blanks (space, tab,
+# carriage return) fall between matches.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
+
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line, start = 1, 0
+    for m in _TOKEN.finditer(text):
+        s = m[0]
+        if s == "\n":
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            scol = col
-            while i < len(text) and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Tok(text[start:i], line, scol))
+            start = m.end()
+        elif s[0] != ";":
+            toks.append(_Tok(s, line, m.start() - start + 1))
     return toks
 
 

@@ -16,6 +16,7 @@ from synthlia.qfsolver import ResourceLimit
 from synthlia.rewrite import canonical_key
 from synthlia.sygus import (
     ParseError,
+    _tokenize,
     parse_problem,
     print_solution,
     print_term,
@@ -77,6 +78,25 @@ def test_parse_error_reports_position():
         parse_problem("(set-logic LIA)\n(bogus-command)\n")
     assert exc.value.line == 2
     assert exc.value.col == 2
+
+
+def test_token_positions_count_characters_per_line():
+    # Tabs and carriage returns are blanks of one column, a comment runs
+    # to the end of its line, a form feed is part of an atom and a
+    # non-ASCII character is one column.
+    text = ("(set-logic\tLIA)\r\n; a (comment)\r\n"
+            "(declare-var é Int) ; more\n\x0cx\t(fée\r y);end")
+    assert [(t.text, t.line, t.col) for t in _tokenize(text)] == [
+        ("(", 1, 1), ("set-logic", 1, 2), ("LIA", 1, 12), (")", 1, 15),
+        ("(", 3, 1), ("declare-var", 3, 2), ("é", 3, 14),
+        ("Int", 3, 16), (")", 3, 19),
+        ("\x0cx", 4, 1), ("(", 4, 4), ("fée", 4, 5), ("y", 4, 10),
+        (")", 4, 11)]
+    with pytest.raises(ParseError) as exc:
+        parse_problem("(set-logic LIA)\r\n(synth-fun f ((x Int)) Int)\r\n"
+                      "(declare-var x Int)\r\n"
+                      "(constraint\t(= (f x) éé))\r\n(check-synth)")
+    assert (exc.value.line, exc.value.col) == (4, 22)
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from synthlia.driver import SolverConfig, Success, solve
 from synthlia.rewrite import (
     _lin,
     _mono_key,
@@ -10,6 +11,7 @@ from synthlia.rewrite import (
     negate_norm,
     normalize,
 )
+from synthlia.sygus import print_solution
 from synthlia.terms import (
     App,
     BoolConst,
@@ -34,7 +36,8 @@ from synthlia.terms import (
     sub,
 )
 
-from helpers import random_env, random_int_term, random_term
+from helpers import GOLDEN, load_golden, random_env, random_int_term, \
+    random_term
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 
@@ -177,3 +180,33 @@ def test_serialize_is_injective_on_samples():
         t = random_term(rng)
         s = serialize(t)
         assert seen.setdefault(s, t) == t
+
+
+def _solve_goldens(names, clear_between):
+    out = {}
+    for name in names:
+        for mode in ("auto", "enum"):
+            if clear_between:
+                normalize.cache_clear()
+            p = load_golden(name)
+            r = solve(p, SolverConfig(mode=mode))
+            stats = {k: v for k, v in r.stats.items() if k != "wall_time"}
+            answer = (r.strategy, print_solution(r.solution, p)) \
+                if isinstance(r, Success) else (r.reason,)
+            out[name, mode] = (answer, stats)
+    return out
+
+
+def test_memo_state_never_changes_an_answer():
+    # Cold, warm, and in reverse order with the memo emptied before every
+    # solve: the memo holds fewer entries than the 12 solves key, so the
+    # passes also differ in what was evicted.
+    names = sorted(p.name for p in GOLDEN.glob("*.sy"))
+    assert len(names) >= 6
+    normalize.cache_clear()
+    cold = _solve_goldens(names, clear_between=False)
+    assert normalize.cache_info().misses > normalize.cache_info().maxsize
+    warm = _solve_goldens(names, clear_between=False)
+    cleared = _solve_goldens(names[::-1], clear_between=True)
+    assert warm == cold
+    assert cleared == cold
