@@ -174,7 +174,17 @@ def _io_point(p: SynthProblem, c: Term):
 
 
 def classify(p: SynthProblem) -> ConjectureClass:
-    """Class of the conjecture: IOExamples, SingleInvocation, or neither."""
+    """Class of the conjecture: IOExamples, SingleInvocation, or neither.
+    The answer is kept on ``p``: a problem is immutable, so each is
+    classified once however often it is asked."""
+    cls = getattr(p, "_class", None)
+    if cls is None:
+        cls = _classify(p)
+        object.__setattr__(p, "_class", cls)
+    return cls
+
+
+def _classify(p: SynthProblem) -> ConjectureClass:
     points = []
     io = bool(p.universals)
     for c in conjuncts(p.constraint):

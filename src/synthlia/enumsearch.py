@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
 from .classify import IOExamples, classify
@@ -223,7 +224,28 @@ def _minimize(dts: dict[str, list[Constructor]],
         dts[dt] = kept
 
 
+# The cache is sized by the grammars a process reuses. In the seed-1
+# benchmark workloads io-enum's 306 solves compile 3 distinct grammars,
+# so 303 compiles become hits; nonsi-enum's 120 grammars (fresh names)
+# and si-portfolio's 85 are all distinct, so every lookup there misses
+# and only the last 64 families stay held.
+GRAMMAR_ENTRIES = 64
+
+
 def grammar_to_datatypes(g: Grammar) -> DatatypeFamily:
+    """The datatype family of ``g``, validated and minimized. Families
+    are kept by the grammar's content in declaration order, so grammars
+    that read alike share one family: it must not be mutated. Raises
+    GrammarError when ``g`` fails validation, on every call."""
+    return _compile(g.start, tuple(g.nonterminals.items()), g.rules,
+                    g.params)
+
+
+@lru_cache(maxsize=GRAMMAR_ENTRIES)
+def _compile(start: str, nonterminals: tuple[tuple[str, str], ...],
+             rules: tuple[tuple[str, Term], ...],
+             params: tuple[Var, ...]) -> DatatypeFamily:
+    g = Grammar(start, dict(nonterminals), rules, params)
     g.validate()
     b = _Builder(g)
     for lhs, rhs in g.rules:
@@ -526,12 +548,13 @@ Sample = tuple[list[dict[str, Value]], tuple]  # rows, values at the rows
 
 class KeyedPool:
     """One grammar's keyed pool, grown as it is asked for sizes: the
-    grammar is compiled once, on the first call, and each (datatype,
-    size) level is built and keyed once. A term is admitted only when
-    its canonical key is new for its datatype, so each level is
-    composed from one representative per normal form. The pool adds to
-    the record of ``ctx`` as it works: ``recon_keyed`` counts the terms
-    keyed, ``recon_scanned`` the budget-level candidates whose values a
+    grammar's family is looked up on the first call (it is compiled
+    once per process), and each (datatype, size) level is built and
+    keyed once. A term is admitted only when its canonical key is new
+    for its datatype, so each level is composed from one
+    representative per normal form. The pool adds to the record of
+    ``ctx`` as it works: ``recon_keyed`` counts the terms keyed,
+    ``recon_scanned`` the budget-level candidates whose values a
     sampled call composed."""
 
     def __init__(self, g: Grammar, ctx: Optional[Context] = None):

@@ -70,12 +70,23 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+# The deepest parenthesis nesting the reader accepts. The parser and
+# the solver walk terms recursively, and under Python's default limit of
+# 1000 frames the most costly nesting, an ite over a binary minus per
+# level, solves up to about 160 levels deep (about 490 for a + chain).
+# The bound keeps a margin below that for the caller's own frames.
+MAX_DEPTH = 128
+
+
 def _read_sexprs(text: str) -> list[SExpr]:
     toks = _tokenize(text)
     out: list[SExpr] = []
     stack: list[list] = []
     for t in toks:
         if t.text == "(":
+            if len(stack) == MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                                 t.line, t.col)
             stack.append([])
         elif t.text == ")":
             if not stack:

@@ -15,6 +15,7 @@ from synthlia.problem import apply_solution
 from synthlia.qfsolver import ResourceLimit
 from synthlia.rewrite import canonical_key
 from synthlia.sygus import (
+    MAX_DEPTH,
     ParseError,
     _tokenize,
     parse_problem,
@@ -121,6 +122,58 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)
     assert fragment in str(exc.value)
+
+
+_DEEP = ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var x Int)\n"
+         "(constraint (>= (f x) {}))\n(check-synth)\n")
+
+
+def _nesting(text: str) -> int:
+    depth = deepest = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
+
+
+def _nested_problem(link: str, depth: int) -> str:
+    """A problem nested ``depth`` parentheses deep: ``link`` (a term
+    with one hole) repeated, and (+ 1 ...) links for the rest."""
+    body = "x"
+    while _nesting(_DEEP.format(link.format(body))) <= depth:
+        body = link.format(body)
+    while _nesting(_DEEP.format(body)) < depth:
+        body = f"(+ 1 {body})"
+    return _DEEP.format(body)
+
+
+# The ite over a binary minus is the costliest nesting for the solver's
+# recursive term walks.
+@pytest.mark.parametrize("link", ["(+ 1 {})", "(ite (<= x 0) (- 1 {}) 1)"])
+def test_input_nested_to_the_bound_parses_and_solves(link, tmp_path,
+                                                     capsys):
+    path = tmp_path / "deep.sy"
+    path.write_text(_nested_problem(link, MAX_DEPTH))
+    assert _nesting(path.read_text()) == MAX_DEPTH
+    assert cli_main([str(path), "--verify"]) == 0
+    assert capsys.readouterr().out.startswith("(define-fun f ")
+
+
+def test_input_nested_past_the_bound_is_an_input_error(tmp_path, capsys):
+    text = _nested_problem("(+ 1 {})", MAX_DEPTH + 1)
+    with pytest.raises(ParseError, match="nesting deeper") as exc:
+        parse_problem(text)
+    # At the ( that goes past the bound: the constraint and >= hold the
+    # first two levels, and each (+ 1 link is five columns wide.
+    assert (exc.value.line, exc.value.col) == (
+        4, len("(constraint (>= (f x) ") + 1 + 5 * (MAX_DEPTH - 2))
+    path = tmp_path / "deep.sy"
+    path.write_text(text)
+    assert cli_main([str(path)]) == 2
+    assert "nesting deeper" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("numeral,ok", [

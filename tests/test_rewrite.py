@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from synthlia import enumsearch
 from synthlia.driver import SolverConfig, Success, solve
 from synthlia.rewrite import (
     _lin,
@@ -182,31 +183,40 @@ def test_serialize_is_injective_on_samples():
         assert seen.setdefault(s, t) == t
 
 
-def _solve_goldens(names, clear_between):
+def _clear_caches():
+    normalize.cache_clear()
+    enumsearch._compile.cache_clear()
+
+
+def _solve_goldens(problems, clear_between):
     out = {}
-    for name in names:
-        for mode in ("auto", "enum"):
-            if clear_between:
-                normalize.cache_clear()
-            p = load_golden(name)
-            r = solve(p, SolverConfig(mode=mode))
-            stats = {k: v for k, v in r.stats.items() if k != "wall_time"}
-            answer = (r.strategy, print_solution(r.solution, p)) \
-                if isinstance(r, Success) else (r.reason,)
-            out[name, mode] = (answer, stats)
+    for run, p in problems:
+        if clear_between:
+            _clear_caches()
+        r = solve(p, SolverConfig(mode=run[1]))
+        stats = {k: v for k, v in r.stats.items() if k != "wall_time"}
+        answer = (r.strategy, print_solution(r.solution, p)) \
+            if isinstance(r, Success) else (r.reason,)
+        out[run] = (answer, stats)
     return out
 
 
 def test_memo_state_never_changes_an_answer():
-    # Cold, warm, and in reverse order with the memo emptied before every
-    # solve: the memo holds fewer entries than the 12 solves key, so the
-    # passes also differ in what was evicted.
+    # Cold, warm, and in reverse order with the memo and the grammar
+    # cache emptied before every solve: the memo holds fewer entries
+    # than the 12 solves key, so the passes also differ in what was
+    # evicted. The warm pass solves the cold pass's problems again, so
+    # their classes, kept on them, are warm too.
     names = sorted(p.name for p in GOLDEN.glob("*.sy"))
     assert len(names) >= 6
-    normalize.cache_clear()
-    cold = _solve_goldens(names, clear_between=False)
+    runs = [(name, mode) for name in names for mode in ("auto", "enum")]
+    problems = [(run, load_golden(run[0])) for run in runs]
+    _clear_caches()
+    cold = _solve_goldens(problems, clear_between=False)
     assert normalize.cache_info().misses > normalize.cache_info().maxsize
-    warm = _solve_goldens(names, clear_between=False)
-    cleared = _solve_goldens(names[::-1], clear_between=True)
+    warm = _solve_goldens(problems, clear_between=False)
+    cleared = _solve_goldens(
+        [(run, load_golden(run[0])) for run in reversed(runs)],
+        clear_between=True)
     assert warm == cold
     assert cleared == cold
