@@ -32,6 +32,7 @@ from .terms import (
     EvalError,
     IntConst,
     Lambda,
+    SortError,
     Term,
     Value,
     Var,
@@ -42,6 +43,7 @@ from .terms import (
     print_term,
     substitute,
     subterms,
+    well_sorted,
 )
 
 Assignment = Mapping[str, Value]
@@ -72,6 +74,14 @@ class ReconstructionFailure(Exception):
 def _subst_k(body: Term, kvars: tuple[Var, ...],
              terms: tuple[Term, ...]) -> Term:
     return substitute(body, {k.name: t for k, t in zip(kvars, terms)})
+
+
+def _key(t: Term) -> Term:
+    """The canonical key of ``t``, checked for sorts first:
+    ``canonical_key`` leaves that check to the maker of its terms."""
+    if not well_sorted(t):
+        raise SortError("canonical_key requires a well-sorted term")
+    return canonical_key(t)
 
 
 def _model_const(model: Assignment, k: Var) -> Term:
@@ -127,7 +137,7 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
             # candidates (the progress filter below vets them); they
             # just rank behind the satisfied ones.
             tier = 0 if sat_here else 3
-            order = print_term(canonical_key(t))
+            order = print_term(_key(t))
             if kind == "eq":
                 candidates.append((tier + 0, (order,), t))
             elif kind == "lower":
@@ -264,7 +274,7 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
         return t
     # Look the normal form up one size level at a time: most solutions
     # match a small term, and the largest level costs the most.
-    want = canonical_key(t)
+    want = _key(t)
     for size in range(budget):
         hit = g.terms_upto(size, nt, pool=pool).get(want)
         if hit is not None:

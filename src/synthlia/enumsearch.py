@@ -50,6 +50,7 @@ from .terms import (
     FunSort,
     IntConst,
     Lambda,
+    SortError,
     Term,
     Value,
     Var,
@@ -233,10 +234,11 @@ GRAMMAR_ENTRIES = 64
 
 
 def grammar_to_datatypes(g: Grammar) -> DatatypeFamily:
-    """The datatype family of ``g``, validated and minimized. Families
-    are kept by the grammar's content in declaration order, so grammars
-    that read alike share one family: it must not be mutated. Raises
-    GrammarError when ``g`` fails validation, on every call."""
+    """The datatype family of ``g``, validated, minimized and
+    sort-checked (``_check_sorted``). Families are kept by the
+    grammar's content in declaration order, so grammars that read alike
+    share one family: it must not be mutated. Raises GrammarError when
+    ``g`` fails validation, on every call."""
     return _compile(g.start, tuple(g.nonterminals.items()), g.rules,
                     g.params)
 
@@ -262,7 +264,38 @@ def _compile(start: str, nonterminals: tuple[tuple[str, str], ...],
     for d in fam.datatypes:
         if not d.constructors:
             raise GrammarError(f"datatype {d.name} has no constructors")
+    _check_sorted(fam)
     return fam
+
+
+def _check_sorted(fam: DatatypeFamily) -> None:
+    """Raise GrammarError unless each constructor of ``fam`` makes a
+    well-sorted term of its datatype's sort from well-sorted terms of
+    its children's sorts. Every term the pools compose is then
+    well-sorted by induction, so keying it needs no walk over it.
+
+    Each constructor is checked once, on a probe: a leaf is its own
+    probe, and an operator is applied to one probe per child, the
+    child's leaf when that is its only constructor, else a variable of
+    its sort. ``sort_of`` reads only the sorts of an operator's
+    arguments, except that ``*`` needs a literal first argument, and a
+    one-leaf child is exactly that."""
+    probes = {}
+    for d in fam.datatypes:
+        first = d.constructors[0]
+        probes[d.name] = (first.leaf if len(d.constructors) == 1
+                          and first.op is None else Var(f"_{d.name}", d.sort))
+    for d in fam.datatypes:
+        for c in d.constructors:
+            t = c.leaf if c.op is None else \
+                App(c.op, tuple(probes[k] for k in c.children))
+            try:
+                ok = sort_of(t) == d.sort
+            except SortError:
+                ok = False
+            if not ok:
+                raise GrammarError(f"constructor {c.name} of {d.name} "
+                                   f"does not make a {d.sort} term")
 
 
 def default_grammar(fsort: FunSort, param_names: tuple[str, ...]) -> Grammar:
@@ -496,7 +529,10 @@ class Pools:
     child order. A composed term is built once over its children's
     terms, so subterms are shared. ``admit`` sees every composed
     (datatype name, term) once and decides whether the term joins its
-    level; an exception it raises stops the enumeration."""
+    level; an exception it raises stops the enumeration. The family's
+    constructors must be sort-checked, as ``grammar_to_datatypes``
+    checks them: its terms are then well-sorted, and they are keyed
+    without a walk for sorts."""
 
     def __init__(self, family: DatatypeFamily,
                  admit: Callable[[str, Term], bool]):

@@ -387,12 +387,15 @@ class _Checker:
         self.conflicts = conflicts
         self.atoms: list[_Atom] = []
         self.atom_ids: dict = {}
+        # One walk's simplified shared nodes, by the id of their marker.
+        self.walked: dict[int, tuple] = {}
         # condition -> its node: every lift path of an Int ite repeats
         # its condition, which is built once.
         self.conds: dict[Term, object] = {}
         self.root = self._build(f)
 
-    # boolean AST: True/False, int atom index, ("not", n), ("and"/"or", tuple)
+    # boolean AST: True/False, int atom index, ("not", n), ("and"/"or",
+    # tuple), and ("share", n) around a node that occurs more than once.
     def _atom(self, kind: str, payload) -> int:
         # Atoms are decided in the order of their per-call index, which
         # picks the models; the store id only names their literals.
@@ -434,14 +437,15 @@ class _Checker:
             names = tuple((m.name, c) for m, c in monos)
             return self._atom(kind, (names, const))
         if op == "=":
-            x, y = self._build(t.args[0]), self._build(t.args[1])
+            x = _shared(self._build(t.args[0]))
+            y = _shared(self._build(t.args[1]))
             return ("and", (("or", (_neg(x), y)), ("or", (x, _neg(y)))))
         raise SortError(f"unexpected operator {op!r}")
 
     def _cond(self, t: Term):
         got = self.conds.get(t)
         if got is None:
-            got = self.conds[t] = self._build(t)
+            got = self.conds[t] = _shared(self._build(t))
         return got
 
     # -- search ------------------------------------------------------------
@@ -455,7 +459,8 @@ class _Checker:
 
     def _simplify(self, node, lits):
         """``node`` under ``lits``, and the smallest atom left in the
-        result (None when the result is a constant)."""
+        result (None when the result is a constant). A shared node is
+        simplified once per walk, and its result is shared in turn."""
         if isinstance(node, bool):
             return node, None
         if isinstance(node, int):
@@ -465,6 +470,13 @@ class _Checker:
         if op == "not":
             s, first = self._simplify(parts, lits)
             return _neg(s), first
+        if op == "share":
+            got = self.walked.get(id(node))
+            if got is None:
+                self._charge(0)
+                s, first = self._simplify(parts, lits)
+                got = self.walked[id(node)] = _shared(s), first
+            return got
         out = []
         first = None
         for p in parts:
@@ -494,6 +506,7 @@ class _Checker:
         store bits. A branch that completes a learned conflict is
         skipped: no leaf below it is feasible."""
         self._charge(1)
+        self.walked = {}
         node, a = self._simplify(node, lits)
         if node is False:
             return None
@@ -574,6 +587,14 @@ def _neg(node):
     if isinstance(node, tuple) and node[0] == "not":
         return node[1]
     return ("not", node)
+
+
+def _shared(node):
+    """``node`` marked for a second occurrence: ``_simplify`` walks a
+    marked node once per walk, not once per occurrence."""
+    if isinstance(node, tuple) and node[0] != "share":
+        return ("share", node)
+    return node
 
 
 def _negate_ge(e: LinExpr) -> LinExpr:

@@ -40,7 +40,6 @@ from .terms import (
     mul,
     print_term,
     sort_of,
-    well_sorted,
 )
 
 # A linear form is (constant, monomials) where monomials pairs each opaque
@@ -270,7 +269,12 @@ def normalize(t: Term) -> Term:
 
 def canonical_key(t: Term) -> Term:
     """Key equal exactly for terms with identical normal forms: the
-    normal form itself."""
-    if not well_sorted(t):
-        raise SortError("canonical_key requires a well-sorted term")
+    normal form itself.
+
+    ``t`` must be well-sorted, and the caller checks it where the term
+    is made, so keying costs no walk over ``t``: the enumeration pools
+    compose only from families whose every constructor
+    ``enumsearch._compile`` has sort-checked, and ``cegqi`` checks its
+    terms with ``well_sorted`` before it keys them. An ill-sorted term
+    may raise SortError or get a meaningless key."""
     return normalize(t)

@@ -1,8 +1,15 @@
 """Sorts, terms and formulas for linear integer arithmetic with booleans.
 
-Terms are immutable (frozen dataclasses) and hashable, so they can be
-shared freely, memoized, and used as dictionary keys. Integer values are
-Python ints, i.e. arbitrary precision.
+Terms are immutable and hashable, so they can be shared freely,
+memoized, and used as dictionary keys. Each term class is a tuple whose
+first item is the class's tag and whose fields follow it, read through
+``collections.namedtuple``'s accessors: building a term, hashing it and
+comparing two terms run in C, and terms of different classes never
+compare equal. A term is still equal to a plain tuple with the same
+items, so no table may mix terms with other tuples; nothing may rely on
+a term's length, iteration, indexing or tuple order either (terms are
+ordered by ``print_term``). Integer values are Python ints, i.e.
+arbitrary precision.
 
 Subtraction and unary minus are normalized away at construction time:
 ``sub(a, b)`` builds ``a + (-1)*b``, so the only additive operator in a
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -45,47 +53,72 @@ class EvalError(Exception):
     """Evaluation hit an unbound variable or a sort mismatch."""
 
 
-@dataclass(frozen=True)
-class IntConst:
-    value: int
+class _Term:
+    """What the term classes share: a dataclass-style ``repr``, and
+    copying and pickling by the fields that follow the tag."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}"
+                           for f, v in zip(self._fields[1:], self[1:]))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
 
 
-@dataclass(frozen=True)
-class BoolConst:
-    value: bool
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: str
+class IntConst(_Term, namedtuple("_IntConst", "tag value")):
+    __slots__ = ()
+
+    def __new__(cls, value: int):
+        return _new(cls, ("IntConst", value))
 
 
-@dataclass(frozen=True)
-class App:
+class BoolConst(_Term, namedtuple("_BoolConst", "tag value")):
+    __slots__ = ()
+
+    def __new__(cls, value: bool):
+        return _new(cls, ("BoolConst", value))
+
+
+class Var(_Term, namedtuple("_Var", "tag name sort")):
+    __slots__ = ()
+
+    def __new__(cls, name: str, sort: str):
+        return _new(cls, ("Var", name, sort))
+
+
+class App(_Term, namedtuple("_App", "tag op args")):
     """Application of a builtin operator.
 
     Ops: + * <= < >= > = not and or => ite.  ``*`` is scalar
     multiplication and its first argument is always an IntConst.
     """
 
-    op: str
-    args: tuple["Term", ...]
+    __slots__ = ()
+
+    def __new__(cls, op: str, args: tuple["Term", ...]):
+        return _new(cls, ("App", op, args))
 
 
-@dataclass(frozen=True)
-class UFApp:
+class UFApp(_Term, namedtuple("_UFApp", "tag fname fsort args")):
     """Fully applied occurrence of a function-to-synthesize."""
 
-    fname: str
-    fsort: FunSort
-    args: tuple["Term", ...]
+    __slots__ = ()
+
+    def __new__(cls, fname: str, fsort: FunSort, args: tuple["Term", ...]):
+        return _new(cls, ("UFApp", fname, fsort, args))
 
 
-@dataclass(frozen=True)
-class Lambda:
-    params: tuple[Var, ...]
-    body: "Term"
+class Lambda(_Term, namedtuple("_Lambda", "tag params body")):
+    __slots__ = ()
+
+    def __new__(cls, params: tuple[Var, ...], body: "Term"):
+        return _new(cls, ("Lambda", params, body))
 
 
 Term = Union[IntConst, BoolConst, Var, App, UFApp, Lambda]
@@ -99,10 +132,6 @@ COMPARISONS = {"<=", "<", ">=", ">"}
 
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
-
-
-def ivar(name: str) -> Var:
-    return Var(name, INT)
 
 
 def bvar(name: str) -> Var:
@@ -161,14 +190,6 @@ def and_(*args: Term) -> Term:
     if len(args) == 1:
         return args[0]
     return App("and", tuple(args))
-
-
-def or_(*args: Term) -> Term:
-    if not args:
-        return FALSE
-    if len(args) == 1:
-        return args[0]
-    return App("or", tuple(args))
 
 
 def implies(a: Term, b: Term) -> Term:

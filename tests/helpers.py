@@ -16,6 +16,7 @@ from synthlia.problem import Grammar
 from synthlia.rewrite import canonical_key
 from synthlia.sygus import parse_problem
 from synthlia.terms import (
+    FALSE,
     INT,
     App,
     IntConst,
@@ -30,6 +31,22 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def load_golden(name: str):
     return parse_problem((GOLDEN / name).read_text())
+
+
+# ---------------------------------------------------------------------------
+# Term shorthands
+
+
+def ivar(name: str) -> Var:
+    return Var(name, INT)
+
+
+def or_(*args: Term) -> Term:
+    if not args:
+        return FALSE
+    if len(args) == 1:
+        return args[0]
+    return App("or", tuple(args))
 
 
 # ---------------------------------------------------------------------------

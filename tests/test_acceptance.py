@@ -29,11 +29,10 @@ from synthlia.terms import (
     ge,
     implies,
     ite,
-    ivar,
     le,
 )
 
-from helpers import key_set, load_golden, oracle_terms, raw_terms
+from helpers import ivar, key_set, load_golden, oracle_terms, raw_terms
 
 from test_enum import eval_coherence_sample
 from test_qf_solver import cross_check_sample

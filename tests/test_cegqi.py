@@ -36,7 +36,6 @@ from synthlia.terms import (
     ge,
     gt,
     ite,
-    ivar,
     le,
     lt,
     mul,
@@ -45,7 +44,7 @@ from synthlia.terms import (
     substitute,
 )
 
-from helpers import load_golden, random_bool_term, term_size
+from helpers import ivar, load_golden, random_bool_term, term_size
 
 x, y = ivar("x"), ivar("y")
 

@@ -21,11 +21,10 @@ from synthlia.terms import (
     eq,
     ge,
     implies,
-    ivar,
     not_,
 )
 
-from helpers import load_golden
+from helpers import ivar, load_golden
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 F2 = FunSort(("Int", "Int"), "Int")

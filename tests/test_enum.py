@@ -30,24 +30,27 @@ from synthlia.enumsearch import (
 )
 from synthlia import enumsearch, rewrite
 from synthlia.driver import SolverConfig, Success, solve
-from synthlia.problem import apply_solution
+from synthlia.problem import GrammarError, apply_solution
 from synthlia.qfsolver import are_equivalent
 from synthlia.rewrite import canonical_key
 from synthlia.terms import (
     BOOL,
     INT,
+    BoolConst,
     FunSort,
     IntConst,
     add,
     evaluate,
     ge,
     ite,
-    ivar,
     le,
     print_term,
+    sort_of,
 )
 
 from helpers import (
+    GOLDEN,
+    ivar,
     key_set,
     load_golden,
     oracle_terms,
@@ -342,6 +345,45 @@ def test_default_grammar_encoding_is_exact():
     raw = Counter(canonical_key(t) for t in raw_terms(fam, 3))
     oracle = Counter(canonical_key(t) for t in oracle_terms(g, 3))
     assert raw == oracle
+
+
+def _family(*extra):
+    # I = x | extra;  B = leq(I, I);  I1 = 2.
+    return DatatypeFamily(
+        datatypes=(
+            Datatype("I", INT, (Constructor("x", (), leaf=x),) + extra),
+            Datatype("B", BOOL, (Constructor("leq", ("I", "I"), op="<="),)),
+            Datatype("I1", INT, (Constructor("2", (), leaf=IntConst(2)),)),
+        ),
+        start="I", params=(x,))
+
+
+def test_the_compile_check_accepts_only_well_sorted_constructors():
+    for good in (Constructor("plus", ("I", "I"), op="+"),
+                 Constructor("mult", ("I1", "I"), op="*"),
+                 Constructor("if", ("B", "I", "I"), op="ite")):
+        enumsearch._check_sorted(_family(good))
+    for bad in (Constructor("leq", ("I", "I"), op="<="),   # a Bool in I
+                Constructor("plus", ("I", "B"), op="+"),   # adds a Bool
+                Constructor("mult", ("I", "I"), op="*"),   # no literal
+                Constructor("if", ("I", "I", "I"), op="ite"),
+                Constructor("not", ("I",), op="not"),
+                Constructor("true", (), leaf=BoolConst(True))):
+        with pytest.raises(GrammarError, match=bad.name):
+            enumsearch._check_sorted(_family(bad))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.sy")))
+def test_every_pool_term_is_well_sorted(name):
+    # Keying walks no term for sorts: it relies on the compile check.
+    # Every term of every datatype up to size 3 passes the full walk.
+    f = load_golden(name).functions[0]
+    g = f.grammar or default_grammar(f.fsort, f.param_names)
+    fam = grammar_to_datatypes(g)
+    pools = Pools(fam, lambda dt, t: True)
+    for d in fam.datatypes:
+        for t in pools.upto(d.name, 3):
+            assert sort_of(t) == d.sort, print_term(t)
 
 
 TERM_GRAMMARS = {

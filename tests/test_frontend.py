@@ -31,13 +31,12 @@ from synthlia.terms import (
     ge,
     gt,
     ite,
-    ivar,
     le,
     not_,
     sub,
 )
 
-from helpers import GOLDEN, load_golden
+from helpers import GOLDEN, ivar, load_golden
 
 x, y = ivar("x"), ivar("y")
 
@@ -350,6 +349,24 @@ def test_timeout_is_honoured_by_the_cegqi_loop():
     out = solve(load_golden("between.sy"), SolverConfig(timeout=1e-9))
     assert isinstance(out, GaveUp)
     assert out.reason == "timeout(1e-09s)"
+
+
+def test_a_deep_bool_equality_chain_returns_by_its_deadline():
+    # Each Bool = occurs twice in the solver's skeleton; walked as a
+    # tree, depth 20 ran 30 s past a 2 s timeout.
+    inner = "(>= x 0)"
+    for _ in range(60):
+        inner = f"(= (<= x 5) {inner})"
+    p = parse_problem(f"""
+        (set-logic LIA)
+        (synth-fun f ((x Int)) Int)
+        (declare-var x Int)
+        (constraint (=> {inner} (>= (f x) x)))
+        (check-synth)""")
+    t0 = time.monotonic()
+    out = solve(p, SolverConfig(timeout=1))
+    assert time.monotonic() - t0 < 1.5
+    assert isinstance(out, Success) or out.reason == "timeout(1s)"
 
 
 def test_unknown_mode_is_rejected():

@@ -11,13 +11,12 @@ from synthlia.terms import (
     eq,
     evaluate,
     ge,
-    ivar,
     le,
     mul,
     not_,
 )
 
-from helpers import brute_force_model
+from helpers import brute_force_model, ivar
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 

@@ -24,15 +24,13 @@ from synthlia.terms import (
     evaluate,
     ge,
     ite,
-    ivar,
     le,
     lt,
     mul,
     not_,
-    or_,
 )
 
-from helpers import brute_force_model
+from helpers import brute_force_model, ivar, or_
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 from synthlia.qfsolver import Conflicts, Sat, Unsat, are_equivalent, \
     check_sat, check_valid
@@ -16,16 +17,14 @@ from synthlia.terms import (
     gt,
     implies,
     ite,
-    ivar,
     le,
     lt,
     mul,
     not_,
-    or_,
     sub,
 )
 
-from helpers import brute_force_model, random_bool_term
+from helpers import brute_force_model, ivar, or_, random_bool_term
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 
@@ -146,3 +145,23 @@ def test_a_shared_conflict_store_never_changes_an_answer():
         pruned += store.pruned
     assert calls == 240
     assert pruned > 0
+
+
+def _bool_eq_chain(depth):
+    """``(= (<= x 5) (= (<= x 5) ... (>= x 0)))``: each Bool ``=``
+    occurs in the skeleton twice, once per polarity."""
+    f = ge(x, IntConst(0))
+    for _ in range(depth):
+        f = eq(le(x, IntConst(5)), f)
+    return f
+
+
+def test_a_bool_equality_chain_is_simplified_once_per_shared_node():
+    # Walked as a tree, the skeleton doubles with every level: depth 16
+    # took about a second, and each further level doubled it.
+    f = _bool_eq_chain(40)
+    t0 = time.monotonic()
+    res = check_sat(f)
+    assert time.monotonic() - t0 < 2.0
+    assert isinstance(res, Sat) and _model_satisfies(f, res.model)
+    assert isinstance(check_sat(not_(f)), Sat)

@@ -26,19 +26,24 @@ from synthlia.terms import (
     gt,
     implies,
     ite,
-    ivar,
     bvar,
     le,
     lt,
     mul,
     not_,
-    or_,
     print_term as serialize,
     sub,
 )
 
-from helpers import GOLDEN, load_golden, random_env, random_int_term, \
-    random_term
+from helpers import (
+    GOLDEN,
+    ivar,
+    load_golden,
+    or_,
+    random_env,
+    random_int_term,
+    random_term,
+)
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -28,12 +30,11 @@ from synthlia.terms import (
     gt,
     implies,
     ite,
-    ivar,
     le,
     map_uf_apps,
     mul,
     neg,
-    or_,
+    print_term,
     sort_of,
     sub,
     substitute,
@@ -43,7 +44,9 @@ from synthlia.terms import (
 )
 
 from helpers import (
+    ivar,
     load_golden,
+    or_,
     random_env,
     random_term,
     raw_terms,
@@ -213,3 +216,56 @@ def test_terms_are_hashable_and_shareable():
     assert t1 == t2
     assert hash(t1) == hash(t2)
     assert len({t1, t2}) == 1
+
+
+F1 = FunSort((INT,), INT)
+ONE_OF_EACH = [IntConst(1), BoolConst(True), Var("x", INT),
+               App("+", (x, IntConst(1))), UFApp("f", F1, (x,)),
+               Lambda((x,), add(x, IntConst(1)))]
+
+
+@pytest.mark.parametrize("a, b", [
+    (IntConst(1), BoolConst(True)),
+    (IntConst(0), BoolConst(False)),
+    (App("f", (x,)), UFApp("f", F1, (x,))),
+    (Var("x", INT), App("x", ())),
+])
+def test_terms_of_different_classes_are_never_equal(a, b):
+    assert a != b and b != a
+    table = {a: "a", b: "b"}
+    assert len(table) == 2
+    assert table[a] == "a" and table[b] == "b"
+
+
+def test_equality_is_equality_of_printed_terms():
+    rng = random.Random(11)
+    terms = [random_term(rng, 2) for _ in range(300)]
+    printed = [print_term(t) for t in terms]
+    assert len(set(printed)) < len(terms)  # some terms repeat
+    for a, pa in zip(terms, printed):
+        for b, pb in zip(terms, printed):
+            assert (a == b) == (pa == pb)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+def test_terms_are_immutable(t):
+    field = t._fields[-1]
+    with pytest.raises(AttributeError):
+        setattr(t, field, getattr(t, field))
+    with pytest.raises(AttributeError):
+        t.extra = 1
+
+
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+def test_copies_keep_class_and_equality(t):
+    for c in (copy.copy(t), copy.deepcopy(t),
+              pickle.loads(pickle.dumps(t))):
+        assert type(c) is type(t)
+        assert c == t and hash(c) == hash(t)
+
+
+def test_repr_names_the_class_and_its_fields():
+    assert repr(App("+", (x, IntConst(1)))) == (
+        "App(op='+', args=(Var(name='x', sort='Int'), IntConst(value=1)))")
