@@ -40,6 +40,7 @@ from .terms import (
     evaluate,
     free_vars,
     ite,
+    not_,
     print_term,
     substitute,
     subterms,
@@ -50,21 +51,9 @@ Assignment = Mapping[str, Value]
 
 
 @dataclass(frozen=True)
-class InstanceTrace:
-    """Ordered instantiation tuples."""
-
-    instances: tuple[tuple[Term, ...], ...]
-
-
-@dataclass(frozen=True)
-class Solved:
-    trace: InstanceTrace
-
-
-@dataclass(frozen=True)
 class GaveUp:
     reason: str
-    trace: InstanceTrace
+    instances: tuple[tuple[Term, ...], ...]
 
 
 class ReconstructionFailure(Exception):
@@ -163,12 +152,14 @@ def select_terms(model: Assignment, kvars: tuple[Var, ...],
 
 def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64,
                 ctx: Optional[Context] = None):
-    """Run the instantiation loop; returns Solved or GaveUp.
+    """Run the instantiation loop. Returns the instantiation tuples, in
+    the order they were added, once their instances refute the negated
+    conjecture; otherwise GaveUp with the reason and the tuples so far.
 
-    The result carries the instance trace; the solution itself is left
-    for ``extract_solution`` since it needs the problem for parameter
-    naming. Raises TimedOut once the deadline of ``ctx`` has passed, at
-    the start of an iteration or inside one of its solver calls.
+    The solution itself is left for ``extract_solution``, since it
+    needs the problem for parameter naming. Raises TimedOut once the
+    deadline of ``ctx`` has passed, at the start of an iteration or
+    inside one of its solver calls.
 
     All solver calls of the loop share one ``Conflicts`` store. The
     loop adds to the record of ``ctx`` its instances (``cegqi_iterations``)
@@ -177,58 +168,55 @@ def solve_cegqi(fo: FirstOrderForm, max_iters: int = 64,
     or times out.
     """
     ctx = ctx or Context()
+    kvars = fo.instvars
+    pos_body = normalize(fo.pos_body)
     instances: list[tuple[Term, ...]] = []
+    gamma: list[Term] = []  # the normalized instances not P[t_i, x]
     conflicts = Conflicts()
     try:
-        return _cegqi_loop(fo, instances, max_iters, ctx, conflicts)
+        while True:
+            ctx.check()
+            core = (check_sat(and_(*gamma), conflicts, ctx.deadline)
+                    if gamma else Sat({}))
+            if isinstance(core, Unsat):
+                return tuple(instances)
+            full = check_sat(and_(*gamma, pos_body), conflicts,
+                             ctx.deadline)
+            if isinstance(full, Unsat):
+                return GaveUp("infeasible", tuple(instances))
+            if len(instances) >= max_iters:
+                return GaveUp("iteration-cap", tuple(instances))
+            terms = select_terms(full.model, kvars, fo.pos_body)
+            instances.append(terms)
+            gamma.append(normalize(not_(_subst_k(fo.pos_body, kvars,
+                                                 terms))))
     except ResourceLimit:
-        return GaveUp("resource-limit", InstanceTrace(tuple(instances)))
+        return GaveUp("resource-limit", tuple(instances))
     finally:
         ctx.stats.cegqi_iterations += len(instances)
         ctx.stats.cegqi_conflicts += conflicts.learned
         ctx.stats.cegqi_pruned += conflicts.pruned
 
 
-def _cegqi_loop(fo: FirstOrderForm, instances, max_iters, ctx: Context,
-                conflicts: Conflicts):
-    kvars = fo.instvars
-    pos_body = normalize(fo.pos_body)
-    gamma: list[Term] = []  # the normalized instances
-    while True:
-        ctx.check()
-        core = (check_sat(and_(*gamma), conflicts, ctx.deadline)
-                if gamma else Sat({}))
-        if isinstance(core, Unsat):
-            return Solved(InstanceTrace(tuple(instances)))
-        full = check_sat(and_(*gamma, pos_body), conflicts, ctx.deadline)
-        if isinstance(full, Unsat):
-            return GaveUp("infeasible", InstanceTrace(tuple(instances)))
-        if len(instances) >= max_iters:
-            return GaveUp("iteration-cap", InstanceTrace(tuple(instances)))
-        terms = select_terms(full.model, kvars, fo.pos_body)
-        instances.append(terms)
-        gamma.append(normalize(_subst_k(fo.body, kvars, terms)))
+def extract_solution(instances: tuple[tuple[Term, ...], ...],
+                     p: SynthProblem, fo: FirstOrderForm) -> Solution:
+    """Nested-conditional solution from refuting instantiation tuples.
 
-
-def extract_solution(trace: InstanceTrace, p: SynthProblem,
-                     fo: FirstOrderForm) -> Solution:
-    """Nested-conditional solution from a refuting instance trace.
-
-    For each function the body is an ite chain over the instance tuples
-    in trace order, with the final instance as the default branch, then
-    renamed to the function's declared parameters and normalized.
+    For each function the body is an ite chain over the tuples in
+    order, with the final tuple as the default branch, then renamed to
+    the function's declared parameters and normalized.
     """
-    if not trace.instances:
-        raise ValueError("cannot extract a solution from an empty trace")
+    if not instances:
+        raise ValueError("cannot extract a solution from no instances")
     args = shared_invocation_tuple(p)
     if args is None:
         args = tuple(p.universals)
     bodies: dict[str, Term] = {}
     for j, f in enumerate(p.functions):
-        body = trace.instances[-1][j]
-        for i in range(len(trace.instances) - 2, -1, -1):
-            cond = _subst_k(fo.pos_body, fo.instvars, trace.instances[i])
-            body = ite(cond, trace.instances[i][j], body)
+        body = instances[-1][j]
+        for i in range(len(instances) - 2, -1, -1):
+            cond = _subst_k(fo.pos_body, fo.instvars, instances[i])
+            body = ite(cond, instances[i][j], body)
         params = f.param_vars()
         ren = {a.name: pv for a, pv in zip(args, params)}
         bodies[f.name] = normalize(substitute(body, ren))
@@ -308,11 +296,11 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
         f"no generable equivalent of size <= {budget} at {nt}")
 
 
-def reconstruct(s: Solution, g: Grammar, budget: int = 3,
-                ctx: Optional[Context] = None) -> Solution:
-    """Equivalent solution whose bodies the grammar generates.
+def reconstruct(body: Term, g: Grammar, budget: int = 3,
+                ctx: Optional[Context] = None) -> Term:
+    """An equivalent body that the grammar generates from its start.
 
-    All bodies are reconstructed from one ``KeyedPool`` of ``g``, which
+    The body is reconstructed from one ``KeyedPool`` of ``g``, which
     grows as the lookups ask for sizes. The pool adds to the record of
     ``ctx`` as it works: ``recon_keyed`` counts the terms keyed,
     ``recon_scanned`` the budget-level candidates whose values were
@@ -321,9 +309,4 @@ def reconstruct(s: Solution, g: Grammar, budget: int = 3,
     Raises ReconstructionFailure when the size budget is exhausted and
     TimedOut at the deadline of ``ctx``, also inside a solver call.
     """
-    out: Solution = {}
-    pool = KeyedPool(g, ctx)
-    for name, lam in s.items():
-        body = _recon_term(lam.body, g.start, g, budget, pool)
-        out[name] = Lambda(lam.params, body)
-    return out
+    return _recon_term(body, g.start, g, budget, KeyedPool(g, ctx))

@@ -29,7 +29,6 @@ from .terms import (
     free_vars,
     implies,
     map_uf_apps,
-    not_,
     substitute,
     uf_apps,
 )
@@ -60,8 +59,7 @@ NON_SINGLE_INVOCATION = NonSingleInvocation()
 @dataclass(frozen=True)
 class FirstOrderForm:
     instvars: tuple[Var, ...]      # one fresh z per synthesized function
-    body: Term                     # not(P[z, x]), no unknown functions
-    pos_body: Term                 # P[z, x]
+    pos_body: Term                 # P[z, x], no unknown functions
 
 
 class NotTransformable(Exception):
@@ -201,7 +199,8 @@ def _classify(p: SynthProblem) -> ConjectureClass:
 
 
 def to_first_order(p: SynthProblem) -> FirstOrderForm:
-    """Replace each invocation f_i(x) by a fresh z_i and negate."""
+    """Replace each invocation f_i(x) by a fresh z_i. CEGQI refutes the
+    negation of the result."""
     cls = classify(p)
     if isinstance(cls, NonSingleInvocation):
         raise WrongClass("conjecture is not single-invocation")
@@ -211,7 +210,6 @@ def to_first_order(p: SynthProblem) -> FirstOrderForm:
     pos = map_uf_apps(p.constraint, lambda u: zs[u.fname])
     return FirstOrderForm(
         instvars=tuple(zs[f.name] for f in p.functions),
-        body=not_(pos),
         pos_body=pos,
     )
 

@@ -36,10 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(default %(default)s)")
     ap.add_argument("--timeout", type=float, default=SolverConfig.timeout,
                     metavar="SECONDS", help="global time budget")
-    ap.add_argument("--no-sb-rewriter", action="store_true",
-                    help="disable rewriter-based symmetry breaking")
-    ap.add_argument("--no-sb-examples", action="store_true",
-                    help="disable example-signature symmetry breaking")
     ap.add_argument("--verify", action="store_true",
                     help="independently verify the solution before printing")
     ap.add_argument("--stats", action="store_true",
@@ -74,8 +70,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         max_size=args.max_size,
         max_iters=args.max_iters,
         recon_budget=args.recon_budget,
-        sb_rewriter=not args.no_sb_rewriter,
-        sb_examples=not args.no_sb_examples,
         timeout=args.timeout,
         verify=args.verify,
         trace=(lambda m: print(f"trace: {m}", file=sys.stderr))

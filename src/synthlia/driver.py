@@ -42,6 +42,7 @@ from .enumsearch import (
 )
 from .problem import Solution, SynthProblem, apply_solution
 from .qfsolver import ResourceLimit, TimedOut, check_valid
+from .terms import Lambda
 
 
 MODES = ("auto", "cegqi", "enum", "portfolio")
@@ -53,9 +54,7 @@ class SolverConfig:
     max_size: int = 6
     max_iters: int = 64
     recon_budget: int = 3
-    sb_rewriter: bool = True
-    sb_examples: bool = True
-    timeout: Optional[float] = None  # seconds
+    timeout: Optional[float] = None  # seconds, positive
     verify: bool = False
     trace: Optional[Callable[[str], None]] = None
 
@@ -100,6 +99,8 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
     if cfg.mode not in MODES:
         raise ValueError(f"unknown mode {cfg.mode!r}; expected one of "
                          f"{', '.join(MODES)}")
+    if cfg.timeout is not None and not cfg.timeout > 0:
+        raise ValueError(f"timeout must be positive, got {cfg.timeout!r}")
     t0 = time.monotonic()
     ctx = Context(t0 + cfg.timeout if cfg.timeout is not None else None,
                   cfg.trace)
@@ -161,7 +162,7 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
     if isinstance(res, CegqiGaveUp):
         _trace(ctx, f"cegqi gave up: {res.reason}")
         return res.reason
-    sol = extract_solution(res.trace, q, fo)
+    sol = extract_solution(res, q, fo)
     strategy = "cegqi"
     if any(f.grammar is not None for f in q.functions):
         # Reconstruction gets a fixed 20% slice of the time budget;
@@ -169,15 +170,11 @@ def _run_cegqi(orig: SynthProblem, q: SynthProblem, cls,
         recon = ctx if cfg.timeout is None else replace(
             ctx, deadline=ctx.deadline - 0.8 * cfg.timeout)
         try:
-            fixed: Solution = {}
             for f in q.functions:
-                if f.grammar is None:
-                    fixed[f.name] = sol[f.name]
-                else:
-                    one = reconstruct({f.name: sol[f.name]}, f.grammar,
-                                      cfg.recon_budget, recon)
-                    fixed[f.name] = one[f.name]
-            sol = fixed
+                if f.grammar is not None:
+                    lam = sol[f.name]
+                    sol[f.name] = Lambda(lam.params, reconstruct(
+                        lam.body, f.grammar, cfg.recon_budget, recon))
             strategy = "cegqi+reconstruction"
         except (ReconstructionFailure, ResourceLimit, TimedOut):
             _trace(ctx, "reconstruction failed within budget")
@@ -196,9 +193,7 @@ def _run_enum(orig: SynthProblem, q: SynthProblem, cfg: SolverConfig,
     f = q.functions[0]
     grammar = f.grammar or default_grammar(f.fsort, f.param_names)
     family = grammar_to_datatypes(grammar)
-    sol, _ = solve_enum(q, family, ctx, max_size=cfg.max_size,
-                        sb_rewriter=cfg.sb_rewriter,
-                        sb_examples=cfg.sb_examples)
+    sol, _ = solve_enum(q, family, ctx, max_size=cfg.max_size)
     failed = _verify_failure(orig, sol, ctx) if cfg.verify else None
     if failed is not None:
         return GaveUp(failed)

@@ -746,19 +746,14 @@ class EnumSession:
     signatures retained per datatype, which decide what the search's
     pools admit. A composed term is retained only when its key is new
     for its datatype and, when there are example ``points``, so is its
-    signature; there is no other pruning. ``sb_rewriter`` and
-    ``sb_examples`` switch the two tests. The session adds its counts
+    signature; there is no other pruning. The session adds its counts
     to the record of ``ctx``, traces each pruned term to its trace and
     stops at its deadline."""
 
     def __init__(self, family: DatatypeFamily,
                  ctx: Optional[Context] = None, *,
-                 sb_rewriter: bool = True,
-                 sb_examples: bool = True,
                  points: Optional[list] = None):
         self.family = family
-        self.sb_rewriter = sb_rewriter
-        self.sb_examples = sb_examples
         self.points = points
         self.ctx = ctx = ctx or Context()
         self.stats, self.trace = ctx.stats, ctx.trace
@@ -779,7 +774,7 @@ class EnumSession:
         returns the decision."""
         self.stats.enumerated += 1
         key = canonical_key(term)
-        if self.sb_rewriter and key in self.keys[dtname]:
+        if key in self.keys[dtname]:
             self.stats.pruned_rewriter += 1
             if self.trace:
                 self.trace(f"pruned-rewriter {print_term(term)} -> "
@@ -788,13 +783,13 @@ class EnumSession:
         if self.points is not None:
             sig = signature_of(term, self.family, self.points, self.values)
             seen = self.sigs[dtname]
-            if self.sb_examples and sig in seen:
+            if sig in seen:
                 self.stats.pruned_signature += 1
                 if self.trace:
                     self.trace(
                         f"pruned-signature {print_term(term)} -> {sig}")
                 return "pruned_signature"
-            seen.setdefault(sig, term)
+            seen[sig] = term
         self.stats.retained += 1
         self.keys[dtname].add(key)
         return "retained"
@@ -817,13 +812,10 @@ class EnumSession:
 
 def solve_enum(p: SynthProblem, family: DatatypeFamily,
                ctx: Optional[Context] = None, *,
-               max_size: int = 6, sb_rewriter: bool = True,
-               sb_examples: bool = True) -> tuple[Solution, SolveStats]:
+               max_size: int = 6) -> tuple[Solution, SolveStats]:
     """Enumerate candidates of up to ``max_size`` until one satisfies
-    the conjecture. ``sb_rewriter`` and ``sb_examples`` switch the
-    rewriter and the example-signature pruning. The search adds its
-    counts to the record of ``ctx`` and returns the record with the
-    solution.
+    the conjecture. The search adds its counts to the record of ``ctx``
+    and returns the record with the solution.
 
     An input-output example conjecture is decided by the candidates'
     signatures at its points, with no solver call; every other
@@ -844,8 +836,7 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily,
     if isinstance(cls, IOExamples) and cls.points:
         points = [ins for ins, _ in cls.points]
         want = tuple(outs[0] for _, outs in cls.points)
-    session = EnumSession(family, ctx, sb_rewriter=sb_rewriter,
-                          sb_examples=sb_examples, points=points)
+    session = EnumSession(family, ctx, points=points)
     cex: list[dict] = []
     params = f.param_vars()
     for body in session.candidates(max_size):

@@ -50,7 +50,13 @@ class _Tok(NamedTuple):
     col: int
 
 
-SExpr = Union[_Tok, list]
+class _List(list):
+    """A parenthesized list, with the position of its '('."""
+
+    __slots__ = ("line", "col")
+
+
+SExpr = Union[_Tok, _List]
 
 # A parenthesis, an atom, a comment or a newline; blanks (space, tab,
 # carriage return) fall between matches.
@@ -87,7 +93,9 @@ def _read_sexprs(text: str) -> list[SExpr]:
             if len(stack) == MAX_DEPTH:
                 raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
                                  t.line, t.col)
-            stack.append([])
+            opened = _List()
+            opened.line, opened.col = t.line, t.col
+            stack.append(opened)
         elif t.text == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", t.line, t.col)
@@ -101,9 +109,9 @@ def _read_sexprs(text: str) -> list[SExpr]:
 
 
 def _where(e: SExpr) -> tuple[int, int]:
-    while isinstance(e, list):
-        if not e:
-            return (0, 0)
+    """The position of ``e``'s first atom, or of the '(' of the empty
+    list that stands first in ``e``."""
+    while isinstance(e, list) and e:
         e = e[0]
     return (e.line, e.col)
 
@@ -160,7 +168,7 @@ class _TermParser:
                 return self.scope[t]
             raise ParseError(f"unknown symbol {t!r}", e.line, e.col)
         if not e:
-            raise ParseError("empty application", 0, 0)
+            raise ParseError("empty application", e.line, e.col)
         head = _expect_atom(e[0], "an operator")
         args = [self.parse(a) for a in e[1:]]
         return self.apply(head, args, e[0].line, e[0].col)

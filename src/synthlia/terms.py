@@ -134,10 +134,6 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-def bvar(name: str) -> Var:
-    return Var(name, BOOL)
-
-
 def add(*args: Term) -> Term:
     if not args:
         return IntConst(0)
@@ -158,22 +154,6 @@ def neg(t: Term) -> Term:
 
 def sub(a: Term, b: Term) -> Term:
     return add(a, neg(b))
-
-
-def le(a: Term, b: Term) -> Term:
-    return App("<=", (a, b))
-
-
-def lt(a: Term, b: Term) -> Term:
-    return App("<", (a, b))
-
-
-def ge(a: Term, b: Term) -> Term:
-    return App(">=", (a, b))
-
-
-def gt(a: Term, b: Term) -> Term:
-    return App(">", (a, b))
 
 
 def eq(a: Term, b: Term) -> Term:

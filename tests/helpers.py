@@ -16,6 +16,7 @@ from synthlia.problem import Grammar
 from synthlia.rewrite import canonical_key
 from synthlia.sygus import parse_problem
 from synthlia.terms import (
+    BOOL,
     FALSE,
     INT,
     App,
@@ -39,6 +40,26 @@ def load_golden(name: str):
 
 def ivar(name: str) -> Var:
     return Var(name, INT)
+
+
+def bvar(name: str) -> Var:
+    return Var(name, BOOL)
+
+
+def le(a: Term, b: Term) -> Term:
+    return App("<=", (a, b))
+
+
+def lt(a: Term, b: Term) -> Term:
+    return App("<", (a, b))
+
+
+def ge(a: Term, b: Term) -> Term:
+    return App(">=", (a, b))
+
+
+def gt(a: Term, b: Term) -> Term:
+    return App(">", (a, b))
 
 
 def or_(*args: Term) -> Term:

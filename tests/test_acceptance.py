@@ -7,7 +7,7 @@ problem, enforces its runtime bound, and emits a single PASS/FAIL line.
 import random
 import time
 
-from synthlia.cegqi import Solved, extract_solution, solve_cegqi
+from synthlia.cegqi import extract_solution, solve_cegqi
 from synthlia.classify import classify, to_first_order, to_single_invocation
 from synthlia.driver import SolverConfig, Success, solve, verify_solution
 from synthlia.enumsearch import (
@@ -26,13 +26,11 @@ from synthlia.terms import (
     and_,
     eq,
     evaluate,
-    ge,
     implies,
     ite,
-    le,
 )
 
-from helpers import ivar, key_set, load_golden, oracle_terms, raw_terms
+from helpers import ge, ivar, key_set, le, load_golden, oracle_terms, raw_terms
 
 from test_enum import eval_coherence_sample
 from test_qf_solver import cross_check_sample
@@ -52,13 +50,13 @@ def test_criterion_1_between_via_cegqi(capsys):
     t0 = time.monotonic()
     p = load_golden("between.sy")
     fo = to_first_order(p)
-    res = solve_cegqi(fo)
-    iters = len(res.trace.instances)
-    sol = extract_solution(res.trace, p, fo)
+    instances = solve_cegqi(fo)
+    iters = len(instances)
+    sol = extract_solution(instances, p, fo)
     want = ite(le(x, add(y, IntConst(1))),
                add(x, IntConst(1)), add(y, IntConst(1)))
     elapsed = time.monotonic() - t0
-    ok = (isinstance(res, Solved) and iters <= 3
+    ok = (isinstance(instances, tuple) and iters <= 3
           and are_equivalent(sol["f"].body, want)
           and elapsed < 1.0)
     report(capsys, 1, ok,
@@ -69,13 +67,13 @@ def test_criterion_2_io_points_trivial_solution(capsys):
     t0 = time.monotonic()
     p = load_golden("successor_points.sy")
     fo = to_first_order(p)
-    res = solve_cegqi(fo)
-    iters = len(res.trace.instances)
-    sol = extract_solution(res.trace, p, fo)
+    instances = solve_cegqi(fo)
+    iters = len(instances)
+    sol = extract_solution(instances, p, fo)
     body = sol["f"].body
     values = [evaluate(body, {"x": v}) for v in (1, 2, 7)]
     elapsed = time.monotonic() - t0
-    ok = (isinstance(res, Solved) and iters <= 3
+    ok = (isinstance(instances, tuple) and iters <= 3
           and values == [2, 3, 8] and elapsed < 1.0)
     report(capsys, 2, ok,
            "point-wise solution matches the example table", elapsed)

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -7,17 +8,21 @@ import pytest
 from synthlia.cegqi import (
     GaveUp,
     ReconstructionFailure,
-    Solved,
     extract_solution,
     reconstruct,
     select_terms,
     solve_cegqi,
 )
-from synthlia import enumsearch
+from synthlia import cegqi, enumsearch
 from synthlia.classify import to_first_order, to_single_invocation
 from synthlia.driver import SolverConfig, Success, solve
 from synthlia.problem import Grammar, SynthFun, SynthProblem, apply_solution
-from synthlia.qfsolver import are_equivalent, check_valid
+from synthlia.qfsolver import (
+    ResourceLimit,
+    TimedOut,
+    are_equivalent,
+    check_valid,
+)
 from synthlia.rewrite import canonical_key
 from synthlia.terms import (
     BOOL,
@@ -25,7 +30,6 @@ from synthlia.terms import (
     App,
     FunSort,
     IntConst,
-    Lambda,
     UFApp,
     Var,
     add,
@@ -33,18 +37,24 @@ from synthlia.terms import (
     eq,
     evaluate,
     free_vars,
-    ge,
-    gt,
+    implies,
     ite,
-    le,
-    lt,
     mul,
     print_term,
     sub,
     substitute,
 )
 
-from helpers import ivar, load_golden, random_bool_term, term_size
+from helpers import (
+    ge,
+    gt,
+    ivar,
+    le,
+    load_golden,
+    lt,
+    random_bool_term,
+    term_size,
+)
 
 x, y = ivar("x"), ivar("y")
 
@@ -52,13 +62,13 @@ x, y = ivar("x"), ivar("y")
 def test_between_solved_in_two_iterations():
     p = load_golden("between.sy")
     fo = to_first_order(p)
-    res = solve_cegqi(fo)
-    assert isinstance(res, Solved)
-    assert len(res.trace.instances) == 2
-    keys = [canonical_key(t[0]) for t in res.trace.instances]
+    instances = solve_cegqi(fo)
+    assert isinstance(instances, tuple)
+    assert len(instances) == 2
+    keys = [canonical_key(t[0]) for t in instances]
     assert keys == [canonical_key(add(x, IntConst(1))),
                     canonical_key(add(y, IntConst(1)))]
-    sol = extract_solution(res.trace, p, fo)
+    sol = extract_solution(instances, p, fo)
     want = ite(le(x, add(y, IntConst(1))),
                add(x, IntConst(1)), add(y, IntConst(1)))
     assert are_equivalent(sol["f"].body, want)
@@ -68,13 +78,13 @@ def test_between_solved_in_two_iterations():
 def test_io_points_trivial_solution_table():
     p = load_golden("successor_points.sy")
     fo = to_first_order(p)
-    res = solve_cegqi(fo)
-    assert isinstance(res, Solved)
-    assert len(res.trace.instances) == 3
+    instances = solve_cegqi(fo)
+    assert isinstance(instances, tuple)
+    assert len(instances) == 3
     # The instances are the constant outputs, tried in point order.
-    vals = [t[0] for t in res.trace.instances]
+    vals = [t[0] for t in instances]
     assert vals == [IntConst(2), IntConst(3), IntConst(8)]
-    sol = extract_solution(res.trace, p, fo)
+    sol = extract_solution(instances, p, fo)
     body = sol["f"].body
     for inp, out in ((1, 2), (2, 3), (7, 8)):
         assert evaluate(body, {"x": inp}) == out
@@ -83,9 +93,9 @@ def test_io_points_trivial_solution_table():
 def test_max_aux_roundtrip():
     p = to_single_invocation(load_golden("max_aux.sy"))
     fo = to_first_order(p)
-    res = solve_cegqi(fo)
-    assert isinstance(res, Solved)
-    sol = extract_solution(res.trace, p, fo)
+    instances = solve_cegqi(fo)
+    assert isinstance(instances, tuple)
+    sol = extract_solution(instances, p, fo)
     body = sol["f"].body
     for a, b in ((0, 0), (3, -5), (-5, 3), (7, 7), (-2, -9)):
         assert evaluate(body, {"x": a, "y": b}) == max(a, b)
@@ -108,7 +118,63 @@ def test_iteration_cap():
     res = solve_cegqi(to_first_order(p), max_iters=0)
     assert isinstance(res, GaveUp)
     assert res.reason == "iteration-cap"
-    assert len(res.trace.instances) == 0
+    assert len(res.instances) == 0
+
+
+def infeasible_past_one_instance() -> SynthProblem:
+    # No integer lies strictly between x and x + 1, which f(x) must for
+    # x >= 0: the first instance covers the negative x, and then no
+    # instantiation is left.
+    f = SynthFun("f", FunSort((INT,), INT), ("a",))
+    fx = UFApp("f", f.fsort, (x,))
+    return SynthProblem(
+        functions=(f,),
+        universals=(x,),
+        constraint=implies(ge(x, IntConst(0)),
+                           and_(gt(fx, x), lt(fx, add(x, IntConst(1))))))
+
+
+@pytest.mark.parametrize("end", ["refuted", "infeasible", "iteration-cap",
+                                 "resource-limit", "TimedOut"])
+def test_every_exit_of_the_loop_counts_its_iterations(end, monkeypatch):
+    # One iteration per selected tuple is added to the record on every
+    # exit, also when the loop gives up or raises after a selection.
+    ctx = enumsearch.Context()
+    selected = []
+    real_select = cegqi.select_terms
+
+    def counting(*args):
+        selected.append(args)
+        if end == "TimedOut":
+            ctx.deadline = time.monotonic() - 1.0
+        return real_select(*args)
+
+    monkeypatch.setattr(cegqi, "select_terms", counting)
+    if end == "resource-limit":
+        real_check = cegqi.check_sat
+
+        def runs_out_after_a_selection(f, conflicts=None, deadline=None):
+            if selected:
+                raise ResourceLimit("propositional search budget exceeded")
+            return real_check(f, conflicts, deadline)
+
+        monkeypatch.setattr(cegqi, "check_sat", runs_out_after_a_selection)
+    p = (infeasible_past_one_instance() if end == "infeasible"
+         else load_golden("between.sy"))
+    fo = to_first_order(p)
+    max_iters = 1 if end == "iteration-cap" else 64
+    if end == "TimedOut":
+        with pytest.raises(TimedOut):
+            solve_cegqi(fo, max_iters, ctx)
+    else:
+        res = solve_cegqi(fo, max_iters, ctx)
+        if end == "refuted":
+            assert isinstance(res, tuple)
+        else:
+            assert isinstance(res, GaveUp) and res.reason == end
+            assert len(res.instances) == len(selected)
+    assert selected
+    assert ctx.stats.cegqi_iterations == len(selected)
 
 
 def test_select_terms_prefers_satisfied_bounds():
@@ -168,7 +234,7 @@ def test_extract_solution_needs_instances():
     fo = to_first_order(p)
     res = solve_cegqi(fo, max_iters=0)
     with pytest.raises(ValueError):
-        extract_solution(res.trace, p, fo)
+        extract_solution(res.instances, p, fo)
 
 
 def random_si_problem(rng: random.Random) -> SynthProblem:
@@ -188,14 +254,15 @@ def test_random_single_invocation_soundness():
         p = random_si_problem(rng)
         fo = to_first_order(p)
         res = solve_cegqi(fo, max_iters=16)
-        assert len(res.trace.instances) <= 16
-        if isinstance(res, Solved):
-            sol = extract_solution(res.trace, p, fo)
-            assert check_valid(apply_solution(p, sol))
-            solved += 1
-        else:
+        if isinstance(res, GaveUp):
+            assert len(res.instances) <= 16
             assert res.reason in ("infeasible", "iteration-cap",
                                   "resource-limit")
+        else:
+            assert len(res) <= 16
+            sol = extract_solution(res, p, fo)
+            assert check_valid(apply_solution(p, sol))
+            solved += 1
     assert solved > 20  # most random specs should be solvable
 
 
@@ -204,8 +271,9 @@ def test_instances_are_distinct():
     for _ in range(30):
         p = random_si_problem(rng)
         res = solve_cegqi(to_first_order(p), max_iters=16)
+        instances = res.instances if isinstance(res, GaveUp) else res
         keys = [tuple(canonical_key(t) for t in inst)
-                for inst in res.trace.instances]
+                for inst in instances]
         assert len(keys) == len(set(keys))
 
 
@@ -234,10 +302,9 @@ def test_reconstruct_repairs_the_condition():
     g = restricted_grammar()
     body = ite(le(x, add(y, IntConst(1))),
                add(x, IntConst(1)), add(y, IntConst(1)))
-    sol = {"f": Lambda((x, y), body)}
-    out = reconstruct(sol, g, budget=3)
-    assert g.generates(out["f"].body)
-    assert are_equivalent(out["f"].body, body)
+    out = reconstruct(body, g, budget=3)
+    assert g.generates(out)
+    assert are_equivalent(out, body)
 
 
 def test_reconstruct_fails_on_ungenerable_targets():
@@ -245,14 +312,14 @@ def test_reconstruct_fails_on_ungenerable_targets():
                 rules=(("I", IntConst(0)), ("I", x)), params=(x, y))
     g.validate()
     with pytest.raises(ReconstructionFailure):
-        reconstruct({"f": Lambda((x, y), y)}, g, budget=4)
+        reconstruct(y, g, budget=4)
 
 
 def test_reconstruct_keeps_generable_bodies():
     g = restricted_grammar()
     body = ite(gt(x, y), x, y)
-    out = reconstruct({"f": Lambda((x, y), body)}, g, budget=2)
-    assert out["f"].body == body
+    out = reconstruct(body, g, budget=2)
+    assert out == body
 
 
 def test_reconstruct_samples_the_target_s_own_variables():
@@ -262,10 +329,10 @@ def test_reconstruct_samples_the_target_s_own_variables():
     z = ivar("z")
     body = ite(le(z, IntConst(0)), x, add(x, IntConst(1)))
     with pytest.raises(ReconstructionFailure):
-        reconstruct({"f": Lambda((x, y), body)}, g, budget=3)
+        reconstruct(body, g, budget=3)
     body = sub(add(x, IntConst(1), z), z)
-    out = reconstruct({"f": Lambda((x, y), body)}, g, budget=3)
-    assert print_term(out["f"].body) == "(+ 1 x)"
+    out = reconstruct(body, g, budget=3)
+    assert print_term(out) == "(+ 1 x)"
 
 
 # 2x + y + 1: the smallest term the restricted grammar derives with its
@@ -286,9 +353,9 @@ def test_reconstruct_keys_the_budget_level_through_terms_upto(monkeypatch):
 
     monkeypatch.setattr(Grammar, "terms_upto", counted)
     g = restricted_grammar()
-    out = reconstruct({"f": Lambda((x, y), BUDGET_ONLY)}, g, budget=3)
-    assert g.generates(out["f"].body)
-    assert canonical_key(out["f"].body) == canonical_key(BUDGET_ONLY)
+    out = reconstruct(BUDGET_ONLY, g, budget=3)
+    assert g.generates(out)
+    assert canonical_key(out) == canonical_key(BUDGET_ONLY)
     assert calls == [(0, False), (1, False), (2, False), (3, True)]
 
 
@@ -313,7 +380,7 @@ def test_reconstruct_times_out_in_the_budget_scan(monkeypatch):
     monkeypatch.setattr(Grammar, "terms_upto", clocked)
     g = restricted_grammar()
     with pytest.raises(enumsearch.TimedOut):
-        reconstruct({"f": Lambda((x, y), BUDGET_ONLY)}, g, budget=3,
+        reconstruct(BUDGET_ONLY, g, budget=3,
                     ctx=enumsearch.Context(deadline=1.0))
     assert timed_out == [(3, True)]
 
@@ -337,7 +404,7 @@ def test_reconstruct_builds_each_level_once(monkeypatch):
     monkeypatch.setattr(enumsearch, "grammar_to_datatypes", compile_)
     monkeypatch.setattr(enumsearch, "canonical_key", key)
     g = restricted_grammar()
-    reconstruct({"f": Lambda((x, y), BUDGET_ONLY)}, g, budget=3)
+    reconstruct(BUDGET_ONLY, g, budget=3)
     assert compiled == [g]
     below = [n for t, n in keyed.items() if term_size(t) < 3]
     assert len(below) > 100

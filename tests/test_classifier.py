@@ -19,12 +19,11 @@ from synthlia.terms import (
     free_vars,
     and_,
     eq,
-    ge,
     implies,
-    not_,
+    uf_apps,
 )
 
-from helpers import ivar, load_golden
+from helpers import ge, ivar, load_golden
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 F2 = FunSort(("Int", "Int"), "Int")
@@ -73,7 +72,7 @@ def test_to_first_order_shape():
     assert len(fo.instvars) == 1
     k = fo.instvars[0]
     assert k.sort == "Int"
-    assert fo.body == not_(fo.pos_body)
+    assert not uf_apps(fo.pos_body)
     names = {v.name for v in free_vars(fo.pos_body)}
     assert k.name in names and "x" in names and "y" in names
 

@@ -41,17 +41,17 @@ from synthlia.terms import (
     IntConst,
     add,
     evaluate,
-    ge,
     ite,
-    le,
     print_term,
     sort_of,
 )
 
 from helpers import (
     GOLDEN,
+    ge,
     ivar,
     key_set,
+    le,
     load_golden,
     oracle_terms,
     raw_terms,
@@ -592,8 +592,7 @@ def test_solve_enum_with_io_points():
     assert stats.consistent()
 
 
-@pytest.mark.parametrize("sb_examples", [True, False])
-def test_each_signature_is_evaluated_once(sb_examples, monkeypatch):
+def test_each_signature_is_evaluated_once(monkeypatch):
     # The session keeps each retained signature with its analog, so the
     # example check needs no signature of its own.
     calls = []
@@ -604,31 +603,18 @@ def test_each_signature_is_evaluated_once(sb_examples, monkeypatch):
 
     monkeypatch.setattr(enumsearch, "signature_of", counting)
     p = load_golden("io_points.sy")
-    _, stats = solve_enum(p, io_family(), sb_examples=sb_examples)
+    _, stats = solve_enum(p, io_family())
     assert stats.retained > 0
     assert len(calls) == stats.retained + stats.pruned_signature
 
 
-def test_solve_enum_without_symmetry_breaking_still_solves():
-    p = load_golden("max_sym.sy")
-    sol, stats = solve_enum(p, nsi_family(), sb_rewriter=False,
-                            sb_examples=False)
-    assert are_equivalent(sol["f"].body, ite(le(y, x), x, y))
-    assert stats.pruned_rewriter == 0 and stats.pruned_signature == 0
-    p = load_golden("io_points.sy")
-    sol, stats = solve_enum(p, io_family(), sb_rewriter=False,
-                            sb_examples=False)
-
-
-@pytest.mark.parametrize("sb_examples", [True, False])
-def test_io_conjecture_is_decided_without_the_solver(sb_examples,
-                                                     monkeypatch):
+def test_io_conjecture_is_decided_without_the_solver(monkeypatch):
     def no_solver(*args):
         raise AssertionError("check_sat called on an example conjecture")
 
     monkeypatch.setattr(enumsearch, "check_sat", no_solver)
     p = load_golden("io_points.sy")
-    sol, stats = solve_enum(p, io_family(), sb_examples=sb_examples)
+    sol, stats = solve_enum(p, io_family())
     body = sol["f"].body
     for (a, b), out in zip(EQ12_POINTS, (1, 3, 8)):
         assert evaluate(body, {"x": a, "y": b}) == out

@@ -28,15 +28,12 @@ from synthlia.terms import (
     Lambda,
     add,
     evaluate,
-    ge,
-    gt,
     ite,
-    le,
     not_,
     sub,
 )
 
-from helpers import GOLDEN, ivar, load_golden
+from helpers import GOLDEN, ge, gt, ivar, le, load_golden
 
 x, y = ivar("x"), ivar("y")
 
@@ -233,6 +230,25 @@ def test_duplicate_names_are_rejected(text, where, tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,where", [
+    ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var x Int)"
+     "\n(constraint ())\n(check-synth)", (4, 13)),
+    ("(set-logic LIA)\n  ()\n(check-synth)", (2, 3)),
+    ("(set-logic LIA)\n(synth-fun f ((x Int)) Int ((I Int)) (()))"
+     "\n(declare-var x Int)\n(constraint (>= (f x) x))\n(check-synth)",
+     (2, 39)),
+], ids=["application", "command", "production-group"])
+def test_an_empty_list_is_reported_at_its_parenthesis(text, where, tmp_path,
+                                                      capsys):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.col) == where
+    path = tmp_path / "empty.sy"
+    path.write_text(text)
+    assert cli_main([str(path)]) == 2
+    assert f"error: {where[0]}:{where[1]}: " in capsys.readouterr().err
+
+
 def test_parser_rejects_undeclared_nonterminal():
     text = """
     (set-logic LIA)
@@ -372,6 +388,17 @@ def test_a_deep_bool_equality_chain_returns_by_its_deadline():
 def test_unknown_mode_is_rejected():
     with pytest.raises(ValueError, match="cegqii"):
         solve(load_golden("between.sy"), SolverConfig(mode="cegqii"))
+
+
+@pytest.mark.parametrize("timeout", [0, -1, float("nan")])
+def test_a_nonpositive_timeout_is_rejected(timeout):
+    # The CLI rejects these too. nan used to mean no limit, and 0 or -1
+    # a give-up before the first step.
+    with pytest.raises(ValueError, match="timeout"):
+        solve(load_golden("between.sy"), SolverConfig(timeout=timeout))
+    # Caps of zero stay allowed: they stop a route at once.
+    out = solve(load_golden("between.sy"), SolverConfig(max_iters=0))
+    assert out.reason == "cegqi-failed(iteration-cap)"
 
 
 def test_cegqi_give_up_keeps_the_loop_reason():

@@ -10,13 +10,11 @@ from synthlia.terms import (
     and_,
     eq,
     evaluate,
-    ge,
-    le,
     mul,
     not_,
 )
 
-from helpers import brute_force_model, ivar
+from helpers import brute_force_model, ge, ivar, le
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 

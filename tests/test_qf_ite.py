@@ -22,15 +22,12 @@ from synthlia.terms import (
     and_,
     eq,
     evaluate,
-    ge,
     ite,
-    le,
-    lt,
     mul,
     not_,
 )
 
-from helpers import brute_force_model, ivar, or_
+from helpers import brute_force_model, ge, ivar, le, lt, or_
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 

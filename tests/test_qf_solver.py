@@ -9,22 +9,27 @@ from synthlia.terms import (
     IntConst,
     add,
     and_,
-    bvar,
     eq,
     evaluate,
     free_vars,
-    ge,
-    gt,
     implies,
     ite,
-    le,
-    lt,
     mul,
     not_,
     sub,
 )
 
-from helpers import brute_force_model, ivar, or_, random_bool_term
+from helpers import (
+    brute_force_model,
+    bvar,
+    ge,
+    gt,
+    ivar,
+    le,
+    lt,
+    or_,
+    random_bool_term,
+)
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 

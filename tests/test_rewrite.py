@@ -22,13 +22,8 @@ from synthlia.terms import (
     and_,
     eq,
     evaluate,
-    ge,
-    gt,
     implies,
     ite,
-    bvar,
-    le,
-    lt,
     mul,
     not_,
     print_term as serialize,
@@ -37,8 +32,13 @@ from synthlia.terms import (
 
 from helpers import (
     GOLDEN,
+    bvar,
+    ge,
+    gt,
     ivar,
+    le,
     load_golden,
+    lt,
     or_,
     random_env,
     random_int_term,

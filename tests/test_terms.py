@@ -26,11 +26,8 @@ from synthlia.terms import (
     evaluate,
     free_vars,
     fresh_name,
-    ge,
-    gt,
     implies,
     ite,
-    le,
     map_uf_apps,
     mul,
     neg,
@@ -44,7 +41,10 @@ from synthlia.terms import (
 )
 
 from helpers import (
+    ge,
+    gt,
     ivar,
+    le,
     load_golden,
     or_,
     random_env,
