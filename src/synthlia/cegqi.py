@@ -248,9 +248,9 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
     ``t``'s children under its operator, else the first term up to the
     budget, in size order, that the solver proves equivalent.
 
-    The terms come from ``pool``, through ``Grammar.terms_upto``: below
-    the budget, one size level at a time, each level built and keyed
-    once for the whole reconstruction. The call for the budget level
+    The terms come from ``pool``, through ``Grammar.terms_upto``: one
+    call below the budget, whose levels are built and keyed once for
+    the whole reconstruction, and one for the budget level. The latter
     computes each candidate's values at ``_sample``'s rows from its
     children's, and builds and keys only the candidates whose values
     equal ``t``'s; the solver sees only them. Equivalent terms agree at
@@ -260,11 +260,11 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
     pool.ctx.check()
     if g.generates(t, nt):
         return t
-    # Look the normal form up one size level at a time: most solutions
-    # match a small term, and the largest level costs the most.
+    # Look the normal form up below the budget first: the pool keeps a
+    # key's first, smallest term, and the budget level costs the most.
     want = _key(t)
-    for size in range(budget):
-        hit = g.terms_upto(size, nt, pool=pool).get(want)
+    if budget > 0:
+        hit = g.terms_upto(budget - 1, nt, pool=pool).get(want)
         if hit is not None:
             return hit
     matching = g.terms_upto(budget, nt, sample=_sample(want, g), pool=pool)

@@ -79,7 +79,6 @@ class Exhausted(Exception):
 class Constructor:
     """Flattened constructor: a leaf term, or one operator over children."""
 
-    name: str
     children: tuple[str, ...]  # child datatype names, in order
     op: Optional[str] = None   # builtin operator, None for leaves
     leaf: Optional[Term] = None
@@ -102,33 +101,13 @@ class DatatypeFamily:
     params: tuple[Var, ...]
 
     def __post_init__(self):
-        # Lookup maps, built once; not dataclass fields, so equality and
-        # hashing still see only the declared fields.
+        # A lookup map, built once; not a dataclass field, so equality
+        # and hashing still see only the declared fields.
         object.__setattr__(self, "_datatypes",
                            {d.name: d for d in self.datatypes})
-        object.__setattr__(self, "_constructors",
-                           {(d.name, c.name): c for d in self.datatypes
-                            for c in d.constructors})
 
     def datatype(self, name: str) -> Datatype:
         return self._datatypes[name]
-
-    def constructor(self, dtname: str, cname: str) -> Constructor:
-        return self._constructors[(dtname, cname)]
-
-
-_OP_NAMES = {"+": "plus", "*": "mult", "ite": "if", "<=": "leq", "<": "lt",
-             ">=": "geq", ">": "gt", "=": "eq", "not": "not", "and": "and",
-             "or": "or", "=>": "implies"}
-
-
-def _leaf_name(t: Term) -> str:
-    if isinstance(t, IntConst):
-        return str(t.value)
-    if isinstance(t, BoolConst):
-        return "true" if t.value else "false"
-    assert isinstance(t, Var)
-    return t.name
 
 
 class _Builder:
@@ -148,15 +127,6 @@ class _Builder:
                 self.aux_count[parent] = n
                 return name
 
-    def _unique_cname(self, dt: str, base: str) -> str:
-        used = {c.name for c in self.dts[dt]}
-        if base not in used:
-            return base
-        i = 2
-        while f"{base}_{i}" in used:
-            i += 1
-        return f"{base}_{i}"
-
     def _child_dt(self, parent: str, arg: Term) -> str:
         if isinstance(arg, Var) and arg.name in self.g.nonterminals:
             return arg.name
@@ -175,13 +145,11 @@ class _Builder:
                 self.add_rule(dt, sub, parent_for_aux=owner)
             return
         if isinstance(rhs, (IntConst, BoolConst, Var)):
-            name = self._unique_cname(dt, _leaf_name(rhs))
-            self.dts[dt].append(Constructor(name, (), leaf=rhs))
+            self.dts[dt].append(Constructor((), leaf=rhs))
             return
         assert isinstance(rhs, App)
         kids = tuple(self._child_dt(owner, a) for a in rhs.args)
-        name = self._unique_cname(dt, _OP_NAMES[rhs.op])
-        self.dts[dt].append(Constructor(name, kids, op=rhs.op))
+        self.dts[dt].append(Constructor(kids, op=rhs.op))
 
 
 def _ctor_analog_skeleton(c: Constructor, child_vars: tuple[Var, ...]) -> Term:
@@ -294,7 +262,9 @@ def _check_sorted(fam: DatatypeFamily) -> None:
             except SortError:
                 ok = False
             if not ok:
-                raise GrammarError(f"constructor {c.name} of {d.name} "
+                rule = print_term(c.leaf) if c.op is None else \
+                    f"({' '.join((c.op,) + c.children)})"
+                raise GrammarError(f"constructor {rule} of {d.name} "
                                    f"does not make a {d.sort} term")
 
 
@@ -328,18 +298,18 @@ def default_grammar(fsort: FunSort, param_names: tuple[str, ...]) -> Grammar:
 
 
 def values_at(t: Term, rows: list[dict[str, Value]],
-              known: dict[int, tuple[Term, tuple]]) -> tuple:
+              known: dict[Term, tuple]) -> tuple:
     """The values of ``t`` at ``rows``: a leaf's evaluated, an App's
     composed from its arguments'. Each is kept in ``known``, one table
-    per list of rows, by id with its term: no id is reused while kept."""
-    got = known.get(id(t))
+    per list of rows, keyed by the term."""
+    got = known.get(t)
     if got is None:
-        values = (map(OP_VALUES[t.op], *[values_at(a, rows, known)
-                                          for a in t.args])
-                  if isinstance(t, App) else
-                  (evaluate(t, row) for row in rows))
-        got = known[id(t)] = (t, tuple(values))
-    return got[1]
+        got = known[t] = tuple(
+            map(OP_VALUES[t.op], *[values_at(a, rows, known)
+                                   for a in t.args])
+            if isinstance(t, App) else
+            (evaluate(t, row) for row in rows))
+    return got
 
 
 def signature_of(t: Term, family: DatatypeFamily, points: list,
@@ -604,7 +574,7 @@ class KeyedPool:
         self._layers = 0  # sizes below it are built for every datatype
         # values_at's tables, one per row set, by the rows' parameter
         # values: grammar terms mention no other variable.
-        self._values: dict[tuple, dict[int, tuple[Term, tuple]]] = {}
+        self._values: dict[tuple, dict[Term, tuple]] = {}
 
     def smallest(self, max_size: int, nt: str,
                  sample: Optional[Sample] = None) -> dict[Term, Term]:
@@ -719,10 +689,6 @@ class SolveStats:
     cegqi_conflicts: int = 0
     cegqi_pruned: int = 0
 
-    def consistent(self) -> bool:
-        return self.enumerated == (self.retained + self.pruned_rewriter
-                                   + self.pruned_signature)
-
 
 @dataclass
 class Context:
@@ -765,7 +731,7 @@ class EnumSession:
             {d.name: {} for d in family.datatypes}
         # values_at's table at the points: a candidate's signature is
         # composed from its retained children's values.
-        self.values: dict[int, tuple[Term, tuple]] = {}
+        self.values: dict[Term, tuple] = {}
 
     # -- candidate admission ------------------------------------------------
 

@@ -11,7 +11,13 @@ import itertools
 import random
 from pathlib import Path
 
-from synthlia.enumsearch import DatatypeFamily, DtValue, Pools
+from synthlia.enumsearch import (
+    Constructor,
+    DatatypeFamily,
+    DtValue,
+    Pools,
+    SolveStats,
+)
 from synthlia.problem import Grammar
 from synthlia.rewrite import canonical_key
 from synthlia.sygus import parse_problem
@@ -25,6 +31,7 @@ from synthlia.terms import (
     Var,
     evaluate,
     free_vars,
+    print_term,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -197,10 +204,32 @@ def raw_terms(family: DatatypeFamily, max_size: int):
     return Pools(family, lambda dt, t: True).upto(family.start, max_size)
 
 
+def consistent(stats: SolveStats) -> bool:
+    """Every enumerated candidate was retained or pruned, once."""
+    return stats.enumerated == (stats.retained + stats.pruned_rewriter
+                                + stats.pruned_signature)
+
+
+# ---------------------------------------------------------------------------
+# Constructor labels
+
+OP_WORDS = {"+": "plus", "*": "mult", "ite": "if", "<=": "leq", "<": "lt",
+            ">=": "geq", ">": "gt", "=": "eq", "not": "not", "and": "and",
+            "or": "or", "=>": "implies"}
+
+
+def ctor_label(c: Constructor) -> str:
+    """A constructor as the tests name it: its leaf as printed, or a
+    word for its operator."""
+    return print_term(c.leaf) if c.op is None else OP_WORDS[c.op]
+
+
 def to_analog(v: DtValue, family: DatatypeFamily) -> Term:
     """The term a datatype value denotes, rebuilt recursively from its
-    constructors: the input of the blocking-pattern tests."""
-    c = family.constructor(v.dtype, v.ctor)
+    constructors, each found by its label: the input of the
+    blocking-pattern tests."""
+    c = next(c for c in family.datatype(v.dtype).constructors
+             if ctor_label(c) == v.ctor)
     if c.op is None:
         return c.leaf
     return App(c.op, tuple(to_analog(ch, family) for ch in v.children))

@@ -30,7 +30,16 @@ from synthlia.terms import (
     ite,
 )
 
-from helpers import ge, ivar, key_set, le, load_golden, oracle_terms, raw_terms
+from helpers import (
+    consistent,
+    ge,
+    ivar,
+    key_set,
+    le,
+    load_golden,
+    oracle_terms,
+    raw_terms,
+)
 
 from test_enum import eval_coherence_sample
 from test_qf_solver import cross_check_sample
@@ -140,7 +149,7 @@ def test_criterion_6_symmetry_breaking_effect(capsys):
     retained_keys = set(session.keys[family.start])
     oracle = oracle_terms(g, 4)
     elapsed = time.monotonic() - t0
-    ok = (session.stats.consistent()
+    ok = (consistent(session.stats)
           and session.stats.retained < len(oracle)
           and retained_keys == key_set(oracle)
           and elapsed < 10.0)
@@ -184,7 +193,7 @@ def test_criterion_8_property_suites(capsys):
     ok &= raw_keys == oracle_keys
     session = EnumSession(family)
     list(session.candidates(4))
-    ok &= session.stats.consistent()
+    ok &= consistent(session.stats)
     ok &= set(session.keys[family.start]) == oracle_keys
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 300.0

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -48,6 +49,8 @@ from synthlia.terms import (
 
 from helpers import (
     GOLDEN,
+    consistent,
+    ctor_label,
     ge,
     ivar,
     key_set,
@@ -89,24 +92,24 @@ def io_family():
 def test_nsi_family_structure():
     fam = nsi_family()
     i = fam.datatype("I")
-    names = [c.name for c in i.constructors]
+    names = [ctor_label(c) for c in i.constructors]
     assert names == ["0", "x", "y", "plus", "if"]
-    plus = fam.constructor("I", "plus")
+    plus = i.constructors[names.index("plus")]
     assert plus.children[0] == "I"
     aux = plus.children[1]
     assert aux != "I"
     # The literal 1 was flattened into a one-constructor datatype.
-    assert [c.name for c in fam.datatype(aux).constructors] == ["1"]
+    assert [ctor_label(c) for c in fam.datatype(aux).constructors] == ["1"]
     # geq duplicates leq up to swapping children and is dropped.
     b = fam.datatype("B")
-    assert [c.name for c in b.constructors] == ["leq", "eq", "not"]
+    assert [ctor_label(c) for c in b.constructors] == ["leq", "eq", "not"]
 
 
 def test_io_family_structure():
     fam = io_family()
-    assert [c.name for c in fam.datatype("I").constructors] == \
+    assert [ctor_label(c) for c in fam.datatype("I").constructors] == \
         ["0", "1", "x", "y", "plus", "if"]
-    assert [c.name for c in fam.datatype("B").constructors] == \
+    assert [ctor_label(c) for c in fam.datatype("B").constructors] == \
         ["leq", "eq", "not"]
 
 
@@ -225,6 +228,27 @@ def test_only_leaves_are_evaluated_for_signatures(monkeypatch):
     assert 0 < len(calls) <= leaves * len(EQ12_POINTS)
 
 
+def test_the_values_table_keys_equal_terms_once(monkeypatch):
+    # Two equal terms built apart share no node, yet their values are
+    # one entry: each leaf is evaluated once per row, never twice.
+    calls = []
+    real = enumsearch.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumsearch, "evaluate", counting)
+    rows = [{"x": a} for a in (-1, 0, 4)]
+    first, second = (add(ivar("x"), IntConst(1)) for _ in range(2))
+    assert first == second and first is not second
+    assert first.args[0] is not second.args[0]
+    known = {}
+    assert enumsearch.values_at(first, rows, known) == (0, 1, 5)
+    assert enumsearch.values_at(second, rows, known) == (0, 1, 5)
+    assert len(calls) == 6
+
+
 # ---------------------------------------------------------------------------
 # Blocking patterns
 
@@ -280,15 +304,15 @@ def test_annotation_guard_blocks_cross_type_generalization():
     fam = DatatypeFamily(
         datatypes=(
             Datatype("I", INT, (
-                Constructor("x", (), leaf=x),
-                Constructor("plus", ("I1", "I2"), op="+"))),
+                Constructor((), leaf=x),
+                Constructor(("I1", "I2"), op="+"))),
             Datatype("I1", INT, (
-                Constructor("0", (), leaf=IntConst(0)),
-                Constructor("1", (), leaf=IntConst(1)),
-                Constructor("x", (), leaf=x),
-                Constructor("y", (), leaf=y),
-                Constructor("plus", ("I", "I"), op="+"))),
-            Datatype("I2", INT, (Constructor("0", (), leaf=IntConst(0)),)),
+                Constructor((), leaf=IntConst(0)),
+                Constructor((), leaf=IntConst(1)),
+                Constructor((), leaf=x),
+                Constructor((), leaf=y),
+                Constructor(("I", "I"), op="+"))),
+            Datatype("I2", INT, (Constructor((), leaf=IntConst(0)),)),
         ),
         start="I", params=(x, y))
     v = DtValue("I", "plus", (DtValue("I1", "x"), DtValue("I2", "0")))
@@ -322,7 +346,7 @@ def test_session_retains_full_key_set():
     fam = nsi_family()
     session = EnumSession(fam)
     got = list(session.candidates(3))
-    assert session.stats.consistent()
+    assert consistent(session.stats)
     assert len(got) == len(set(got))
     retained_keys = set(session.keys["I"])
     g = load_golden("max_sym.sy").functions[0].grammar
@@ -351,25 +375,27 @@ def _family(*extra):
     # I = x | extra;  B = leq(I, I);  I1 = 2.
     return DatatypeFamily(
         datatypes=(
-            Datatype("I", INT, (Constructor("x", (), leaf=x),) + extra),
-            Datatype("B", BOOL, (Constructor("leq", ("I", "I"), op="<="),)),
-            Datatype("I1", INT, (Constructor("2", (), leaf=IntConst(2)),)),
+            Datatype("I", INT, (Constructor((), leaf=x),) + extra),
+            Datatype("B", BOOL, (Constructor(("I", "I"), op="<="),)),
+            Datatype("I1", INT, (Constructor((), leaf=IntConst(2)),)),
         ),
         start="I", params=(x,))
 
 
 def test_the_compile_check_accepts_only_well_sorted_constructors():
-    for good in (Constructor("plus", ("I", "I"), op="+"),
-                 Constructor("mult", ("I1", "I"), op="*"),
-                 Constructor("if", ("B", "I", "I"), op="ite")):
+    for good in (Constructor(("I", "I"), op="+"),
+                 Constructor(("I1", "I"), op="*"),
+                 Constructor(("B", "I", "I"), op="ite")):
         enumsearch._check_sorted(_family(good))
-    for bad in (Constructor("leq", ("I", "I"), op="<="),   # a Bool in I
-                Constructor("plus", ("I", "B"), op="+"),   # adds a Bool
-                Constructor("mult", ("I", "I"), op="*"),   # no literal
-                Constructor("if", ("I", "I", "I"), op="ite"),
-                Constructor("not", ("I",), op="not"),
-                Constructor("true", (), leaf=BoolConst(True))):
-        with pytest.raises(GrammarError, match=bad.name):
+    # The error names the bad constructor by its rule.
+    for bad, rule in (
+            (Constructor(("I", "I"), op="<="), "(<= I I)"),  # a Bool in I
+            (Constructor(("I", "B"), op="+"), "(+ I B)"),    # adds a Bool
+            (Constructor(("I", "I"), op="*"), "(* I I)"),    # no literal
+            (Constructor(("I", "I", "I"), op="ite"), "(ite I I I)"),
+            (Constructor(("I",), op="not"), "(not I)"),
+            (Constructor((), leaf=BoolConst(True)), "true")):
+        with pytest.raises(GrammarError, match=re.escape(rule)):
             enumsearch._check_sorted(_family(bad))
 
 
@@ -505,7 +531,7 @@ def test_candidates_stop_at_the_deadline(monkeypatch):
     with pytest.raises(TimedOut):
         list(session.candidates(3))
     assert session.stats is stats
-    assert stats.enumerated == 6 and stats.consistent()
+    assert stats.enumerated == 6 and consistent(stats)
 
 
 PRUNING_SESSIONS = {
@@ -529,7 +555,7 @@ def test_pruning_is_sound_and_complete_against_raw_values(name):
 
     session.process = recording
     list(session.candidates(3))
-    assert session.stats.consistent()
+    assert consistent(session.stats)
     assert session.stats.pruned_rewriter > 0
     # Sound: one retained term per key, and per signature, per datatype.
     keys, sigs = {}, {}
@@ -569,7 +595,7 @@ def test_solve_enum_symmetric_max():
     fam = nsi_family()
     sol, stats = solve_enum(p, fam)
     assert are_equivalent(sol["f"].body, ite(le(y, x), x, y))
-    assert stats.consistent()
+    assert consistent(stats)
     assert stats.enumerated < 5000
     # The returned body stays inside the grammar.
     assert p.functions[0].grammar.generates(sol["f"].body)
@@ -580,7 +606,7 @@ def test_solve_enum_exhausts_at_small_caps():
     stats = SolveStats()
     with pytest.raises(Exhausted):
         solve_enum(p, nsi_family(), Context(stats=stats), max_size=0)
-    assert stats.enumerated > 0 and stats.consistent()
+    assert stats.enumerated > 0 and consistent(stats)
 
 
 def test_solve_enum_with_io_points():
@@ -589,7 +615,7 @@ def test_solve_enum_with_io_points():
     body = sol["f"].body
     for (a, b), out in zip(EQ12_POINTS, (1, 3, 8)):
         assert evaluate(body, {"x": a, "y": b}) == out
-    assert stats.consistent()
+    assert consistent(stats)
 
 
 def test_each_signature_is_evaluated_once(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from synthlia.cli import main as cli_main
 from synthlia.driver import GaveUp, SolverConfig, Success, solve, \
     verify_solution
 from synthlia.enumsearch import SolveStats
-from synthlia.problem import apply_solution
+from synthlia.problem import GrammarError, apply_solution
 from synthlia.qfsolver import ResourceLimit
 from synthlia.rewrite import canonical_key
 from synthlia.sygus import (
@@ -24,8 +25,10 @@ from synthlia.sygus import (
 )
 from synthlia.terms import (
     App,
+    BoolConst,
     IntConst,
     Lambda,
+    SortError,
     add,
     evaluate,
     ite,
@@ -96,6 +99,14 @@ def test_token_positions_count_characters_per_line():
     assert (exc.value.line, exc.value.col) == (4, 22)
 
 
+# A problem with the constraint given, and one with the synth-fun's
+# declaration given (its grammar too, if any).
+_F = ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var x Int)"
+      "\n(constraint {})\n(check-synth)")
+_G = ("(set-logic LIA)\n(synth-fun {})\n(declare-var x Int)"
+      "\n(constraint (= (f x) 0))\n(check-synth)")
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("(synth-fun f ((x Int)) Int)\n(constraint true)\n(check-synth)",
      "set-logic"),
@@ -113,11 +124,95 @@ def test_token_positions_count_characters_per_line():
      "\n(constraint (= (g 0) 0))\n(check-synth)", "unknown"),
     ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)"
      "\n(constraint (= (f 0) 0)\n(check-synth)", "unbalanced"),
+    ("(set-logic LIA))", "unbalanced ')'"),
+    (_F.format("(= (f x) (* x x))"), "* needs a literal constant factor"),
+    (_F.format("(= (f x) (* 2 x x))"), "* expects two arguments"),
+    (_F.format("(= (f x) (- 1 2 3))"), "- expects one or two arguments"),
+    (_F.format("(<= (f x))"), "<= expects two arguments"),
+    (_F.format("(= (f x) (ite true 1))"), "ite expects three arguments"),
+    (_F.format("(not true false)"), "not expects one argument"),
+    (_F.format("(and)"), "and expects arguments"),
+    (_F.format("(= (f x x) 0)"), "f expects 1 arguments"),
+    (_F.format("true") + "\n(declare-var y Int)",
+     "commands after (check-synth)"),
+    ("(set-logic LRA)\n(synth-fun f ((x Int)) Int)\n(constraint true)"
+     "\n(check-synth)", "only (set-logic LIA)"),
+    ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)"
+     "\n(synth-fun f ((y Int)) Int)\n(constraint true)\n(check-synth)",
+     "duplicate function"),
+    (_F.format("true").replace("(declare-var x Int)",
+                               "(declare-var x Int)\n(declare-var x Int)"),
+     "duplicate variable"),
+    (_G.format("f x Int"), "expected a parameter list"),
+    (_G.format("f ((x Int)) Int ((I Int)) ((J Int (x)))"),
+     "undeclared nonterminal"),
+    (_G.format("f ((x Int)) Int ((I Int) (J Int)) ((I Int (x)))"),
+     "no productions for"),
+    (_G.format("f ((x Int)) Int () ()"), "grammar declares no nonterminals"),
+    (_G.format("f ((x Int)) Int ((I Int)) ((I Bool (x)))"),
+     "sort mismatch for"),
+    (_G.format("f ((x Int)) Int I ((I Int (x)))"), "malformed grammar"),
+    (_G.format("f ((x Int)) Int ((I)) ((I Int (x)))"),
+     "nonterminal declaration must be (NT Sort)"),
+    (_G.format("f ((x Int))"), "synth-fun expects name, params, sort"),
+    (_G.format("f (x) Int"), "parameter must be (name Sort)"),
+    (_F.format("true").replace("(declare-var x Int)", "(declare-var x)"),
+     "declare-var expects a name and a sort"),
+    (_F.format("true true"), "constraint expects one term"),
+    (_F.format("true").replace("(declare-var x Int)",
+                               "(declare-var (x) Int)"), "expected a name"),
+    (_F.format("true").replace("(declare-var x Int)",
+                               "(declare-var 1x Int)"), "invalid name"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)
     assert fragment in str(exc.value)
+
+
+# Well-formed problems whose grammar or constraint fails validation:
+# each grammar's rules are given after the function's declaration.
+@pytest.mark.parametrize("text,error,fragment", [
+    (_G.format("f ((x Int)) Int ((I Int) (J Int)) "
+               "((I Int (x J)) (J Int ((+ J 1))))"),
+     GrammarError, "unproductive nonterminals"),
+    (_G.format("f ((x Int)) Int ((I Int) (J Int)) "
+               "((I Int (x)) (J Int (x)))"),
+     GrammarError, "unreachable nonterminals"),
+    (_G.format("f ((I Int)) Int ((I Int)) ((I Int (I 0)))"),
+     GrammarError, "parameter names clash"),
+    (_G.format("f ((x Int)) Int ((I Int) (B Bool)) "
+               "((I Int (x (+ B 1) (ite B x 0))) (B Bool ((<= x 0))))"),
+     GrammarError, "ill-sorted rule"),
+    (_G.format("f ((x Int)) Int ((I Int)) ((I Int (x (<= x 0))))"),
+     GrammarError, "rule for I has wrong sort"),
+    (_G.format("f ((x Int)) Int ((B Bool)) ((B Bool ((<= x 0))))"),
+     GrammarError, "grammar start sort"),
+    (_F.format("(+ x 1)"), SortError, "constraint must be boolean"),
+])
+def test_validation_errors(text, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        parse_problem(text)
+
+
+@pytest.mark.parametrize("text", [
+    _F.format("(= (f x) (- 1 2 3))"),
+    _G.format("f ((x Int)) Int ((I Int)) ((I Int (x (<= x 0))))"),
+    _F.format("(+ x 1)"),
+])
+def test_each_input_error_kind_exits_2(text, tmp_path, capsys):
+    # A parse error, a grammar error and a sort error.
+    path = tmp_path / "bad.sy"
+    path.write_text(text)
+    assert cli_main([str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_right_literal_factor_and_false_parse():
+    assert parse_problem(_F.format("(= (f x) (* x 2))")) == \
+        parse_problem(_F.format("(= (f x) (* 2 x))"))
+    p = parse_problem(_F.format("(not false)"))
+    assert p.constraint == not_(BoolConst(False))
 
 
 _DEEP = ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var x Int)\n"
