@@ -250,7 +250,8 @@ def _recon_term(t: Term, nt: str, g: Grammar, budget: int,
 
     The terms come from ``pool``, through ``Grammar.terms_upto``: one
     call below the budget, whose levels are built and keyed once for
-    the whole reconstruction, and one for the budget level. The latter
+    the whole reconstruction, smallest first whatever the order of the
+    lookups, and one for the budget level. The latter
     computes each candidate's values at ``_sample``'s rows from its
     children's, and builds and keys only the candidates whose values
     equal ``t``'s; the solver sees only them. Equivalent terms agree at
@@ -301,7 +302,8 @@ def reconstruct(body: Term, g: Grammar, budget: int = 3,
     """An equivalent body that the grammar generates from its start.
 
     The body is reconstructed from one ``KeyedPool`` of ``g``, which
-    grows as the lookups ask for sizes. The pool adds to the record of
+    grows as the lookups ask for sizes; its answers do not depend on
+    the order they are asked in. The pool adds to the record of
     ``ctx`` as it works: ``recon_keyed`` counts the terms keyed,
     ``recon_scanned`` the budget-level candidates whose values were
     computed, also when reconstruction fails.

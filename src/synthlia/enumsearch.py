@@ -59,7 +59,6 @@ from .terms import (
     not_,
     print_term,
     sort_of,
-    substitute,
 )
 
 
@@ -136,13 +135,17 @@ class _Builder:
         self.add_rule(aux, arg, parent_for_aux=parent)
         return aux
 
-    def add_rule(self, dt: str, rhs: Term, parent_for_aux: str = "") -> None:
+    def add_rule(self, dt: str, rhs: Term, parent_for_aux: str = "",
+                 spliced: tuple[str, ...] = ()) -> None:
         owner = parent_for_aux or dt
         if isinstance(rhs, Var) and rhs.name in self.g.nonterminals:
             # A unit production N -> M: splice M's rules in directly so
-            # every constructor stays one symbol deep.
+            # every constructor stays one symbol deep. One back to ``dt``
+            # or to a nonterminal spliced on this chain adds no term.
+            if rhs.name == dt or rhs.name in spliced:
+                return
             for sub in self.g.rules_of(rhs.name):
-                self.add_rule(dt, sub, parent_for_aux=owner)
+                self.add_rule(dt, sub, owner, spliced + (rhs.name,))
             return
         if isinstance(rhs, (IntConst, BoolConst, Var)):
             self.dts[dt].append(Constructor((), leaf=rhs))
@@ -152,10 +155,10 @@ class _Builder:
         self.dts[dt].append(Constructor(kids, op=rhs.op))
 
 
-def _ctor_analog_skeleton(c: Constructor, child_vars: tuple[Var, ...]) -> Term:
+def _ctor_analog_skeleton(c: Constructor, children: tuple[Term, ...]) -> Term:
     if c.op is None:
         return c.leaf
-    return App(c.op, child_vars)
+    return App(c.op, children)
 
 
 def _minimize(dts: dict[str, list[Constructor]],
@@ -166,31 +169,33 @@ def _minimize(dts: dict[str, list[Constructor]],
     for dt, ctors in dts.items():
         kept: list[Constructor] = []
         for cand in ctors:
-            cvars = tuple(Var(f"_m{i}", sorts[d])
-                          for i, d in enumerate(cand.children))
-            redundant = False
-            for prev in kept:
-                if sorted(prev.children) != sorted(cand.children):
-                    continue
-                kvars = tuple(Var(f"_m{i}", sorts[d])
-                              for i, d in enumerate(prev.children))
-                kform = normalize(_ctor_analog_skeleton(prev, kvars))
-                for perm in itertools.permutations(range(cand.arity())):
-                    if any(cand.children[i] != prev.children[perm[i]]
-                           for i in range(cand.arity())):
-                        continue
-                    renamed = substitute(
-                        _ctor_analog_skeleton(cand, cvars),
-                        {cvars[i].name: kvars[perm[i]]
-                         for i in range(cand.arity())})
-                    if normalize(renamed) == kform:
-                        redundant = True
-                        break
-                if redundant:
-                    break
-            if not redundant:
+            if not any(_duplicates(cand, prev, sorts) for prev in kept):
                 kept.append(cand)
         dts[dt] = kept
+
+
+def _duplicates(cand: Constructor, prev: Constructor,
+                sorts: dict[str, str]) -> bool:
+    # Permutations are tried only when the two analogs' normal forms
+    # have the same head, which renaming variables apart cannot change.
+    if sorted(prev.children) != sorted(cand.children):
+        return False
+    cvars = tuple(Var(f"_m{i}", sorts[d]) for i, d in enumerate(cand.children))
+    kvars = tuple(Var(f"_m{i}", sorts[d]) for i, d in enumerate(prev.children))
+    kform = normalize(_ctor_analog_skeleton(prev, kvars))
+    if _head(normalize(_ctor_analog_skeleton(cand, cvars))) != _head(kform):
+        return False
+    return any(
+        normalize(_ctor_analog_skeleton(cand, tuple(kvars[j] for j in perm)))
+        == kform
+        for perm in itertools.permutations(range(cand.arity()))
+        if all(cand.children[i] == prev.children[j]
+               for i, j in enumerate(perm)))
+
+
+def _head(t: Term):
+    """A normal form's operator, or its kind for a leaf."""
+    return t.op if isinstance(t, App) else t.tag
 
 
 # The cache is sized by the grammars a process reuses. In the seed-1
@@ -255,8 +260,8 @@ def _check_sorted(fam: DatatypeFamily) -> None:
                           and first.op is None else Var(f"_{d.name}", d.sort))
     for d in fam.datatypes:
         for c in d.constructors:
-            t = c.leaf if c.op is None else \
-                App(c.op, tuple(probes[k] for k in c.children))
+            t = _ctor_analog_skeleton(c, tuple(probes[k]
+                                               for k in c.children))
             try:
                 ok = sort_of(t) == d.sort
             except SortError:
@@ -499,7 +504,13 @@ class Pools:
     child order. A composed term is built once over its children's
     terms, so subterms are shared. ``admit`` sees every composed
     (datatype name, term) once and decides whether the term joins its
-    level; an exception it raises stops the enumeration. The family's
+    level; an exception it raises stops the enumeration, and the level
+    it stopped is built anew when next asked for. A datatype's levels
+    are built smallest first, whatever order they are asked for in, so
+    ``admit`` sees each datatype's terms in size order. When it admits
+    by what the same datatype admitted before, the first term admitted
+    with a key is one of its smallest, and no level depends on the
+    order of the asks. The family's
     constructors must be sort-checked, as ``grammar_to_datatypes``
     checks them: its terms are then well-sorted, and they are keyed
     without a walk for sorts."""
@@ -514,6 +525,8 @@ class Pools:
         got = self._levels.get((dtname, size))
         if got is not None:
             return got
+        if size > 0:
+            self.level(dtname, size - 1)
         out: list[Term] = []
         if size == 0:
             for c in self.family.datatype(dtname).constructors:
@@ -556,22 +569,19 @@ class KeyedPool:
     """One grammar's keyed pool, grown as it is asked for sizes: the
     grammar's family is looked up on the first call (it is compiled
     once per process), and each (datatype, size) level is built and
-    keyed once. A term is admitted only when its canonical key is new
-    for its datatype, so each level is composed from one
-    representative per normal form. The pool adds to the record of
-    ``ctx`` as it works: ``recon_keyed`` counts the terms keyed,
-    ``recon_scanned`` the budget-level candidates whose values a
+    keyed once, by one ``Pools``. A term is admitted only when its
+    canonical key is new for its datatype, so each level is composed
+    from one representative per normal form. The pool adds to the
+    record of ``ctx`` as it works: ``recon_keyed`` counts the terms
+    keyed, ``recon_scanned`` the budget-level candidates whose values a
     sampled call composed."""
 
     def __init__(self, g: Grammar, ctx: Optional[Context] = None):
         self.grammar = g
         self.ctx = ctx or Context()
         self._pools: Optional[Pools] = None
-        # Per datatype: canonical key -> term, in level order; and the
-        # number of keys after each built (datatype, size) level.
+        # Per datatype: canonical key -> its first term, in level order.
         self._keys: dict[str, dict[Term, Term]] = {}
-        self._ends: dict[tuple[str, int], int] = {}
-        self._layers = 0  # sizes below it are built for every datatype
         # values_at's tables, one per row set, by the rows' parameter
         # values: grammar terms mention no other variable.
         self._values: dict[tuple, dict[Term, tuple]] = {}
@@ -580,10 +590,10 @@ class KeyedPool:
                  sample: Optional[Sample] = None) -> dict[Term, Term]:
         """Canonical key -> the smallest term ``nt`` derives with that
         key, over the terms with at most ``max_size`` non-nullary
-        applications, in level order. Every level below a size is built
-        for every datatype before that size, so the representative a
-        key keeps is one of its smallest terms, and the result does not
-        depend on what earlier calls built.
+        applications, in level order. ``Pools`` builds each datatype's
+        levels smallest first, so the term a key keeps is one of its
+        smallest, and the result does not depend on what earlier calls
+        built, or on a call the deadline cut short.
 
         With ``sample`` = ``(rows, vector)``, only the terms whose values
         at the rows equal ``vector``. Below ``max_size``, the kept terms'
@@ -602,22 +612,30 @@ class KeyedPool:
             family = grammar_to_datatypes(self.grammar)
             self._keys = {d.name: {} for d in family.datatypes}
             self._pools = Pools(family, self._admit)
-        keys = self._keys[nt]
+        try:
+            return self._smallest(max_size, nt, sample)
+        except BaseException:
+            # A level cut short leaves keys that no level holds, and they
+            # would turn its own terms away when it is built again: the
+            # next call starts from an empty pool.
+            self._pools = None
+            raise
+
+    def _smallest(self, max_size: int, nt: str,
+                  sample: Optional[Sample]) -> dict[Term, Term]:
+        # The keys of nt's levels up to a size are the first keys of
+        # nt, as many as those levels hold. A sampled call builds the
+        # levels below max_size, and level 0, which holds only leaves.
+        built = max_size + 1 if sample is None else max(max_size, 1)
+        kept = itertools.islice(self._keys[nt].items(), sum(
+            len(self._pools.level(nt, size)) for size in range(built)))
         if sample is None:
-            self._complete(max_size)
-            self._level(nt, max_size)
-            return dict(itertools.islice(keys.items(),
-                                         self._ends[(nt, max_size)]))
+            return dict(kept)
         rows, want = sample
-        # Size 0 holds only leaves: they are filtered like the levels
-        # below the budget, and nothing is composed at it.
-        self._complete(max(max_size, 1))
         known = self._values.setdefault(
             tuple(tuple(row.get(p.name) for p in self.grammar.params)
                   for row in rows), {})
-        below = self._ends[(nt, max(max_size - 1, 0))]
-        out = {key: t for key, t in itertools.islice(keys.items(), below)
-               if values_at(t, rows, known) == want}
+        out = {key: t for key, t in kept if values_at(t, rows, known) == want}
         check, stats = self.ctx.check, self.ctx.stats
         for c, parts in self._pools.compositions(nt, max_size):
             values = OP_VALUES[c.op]
@@ -635,34 +653,12 @@ class KeyedPool:
         return out
 
     def _admit(self, dtname: str, t: Term) -> bool:
+        # A key keeps its first term. The test is identity, not
+        # equality: a grammar that derives a term two ways composes it
+        # twice in one level, and only the first joins it.
         self.ctx.check()
         self.ctx.stats.recon_keyed += 1
-        key = canonical_key(t)
-        seen = self._keys[dtname]
-        if key in seen:
-            return False
-        seen[key] = t
-        return True
-
-    def _level(self, dtname: str, size: int) -> None:
-        if (dtname, size) in self._ends:
-            return
-        keys = self._keys[dtname]
-        mark = len(keys)
-        try:
-            self._pools.level(dtname, size)
-        except BaseException:
-            # A level the deadline cut short leaves no keys behind.
-            for key in list(keys)[mark:]:
-                del keys[key]
-            raise
-        self._ends[(dtname, size)] = len(keys)
-
-    def _complete(self, layers: int) -> None:
-        for size in range(self._layers, layers):
-            for d in self._pools.family.datatypes:
-                self._level(d.name, size)
-            self._layers = size + 1
+        return self._keys[dtname].setdefault(canonical_key(t), t) is t
 
 
 # ---------------------------------------------------------------------------

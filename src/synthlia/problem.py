@@ -143,8 +143,8 @@ class Grammar:
         whose values at the rows (variable name -> value maps) equal
         ``vector``. ``pool`` is an ``enumsearch.KeyedPool`` of this
         grammar that keeps the levels it builds for later calls, or None
-        for a fresh one; the result is the same either way. See
-        ``KeyedPool.smallest``."""
+        for a fresh one; the result is the same either way, whatever the
+        pool was asked for before. See ``KeyedPool.smallest``."""
         # The one entry point to reconstruction's pool: a thin call that
         # carries the caller's pool. It stays a method of Grammar because
         # perfbench/tracing.py times reconstruction's pool under this

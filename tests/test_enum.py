@@ -34,6 +34,7 @@ from synthlia.driver import SolverConfig, Success, solve
 from synthlia.problem import GrammarError, apply_solution
 from synthlia.qfsolver import are_equivalent
 from synthlia.rewrite import canonical_key
+from synthlia.sygus import parse_problem
 from synthlia.terms import (
     BOOL,
     INT,
@@ -111,6 +112,52 @@ def test_io_family_structure():
         ["0", "1", "x", "y", "plus", "if"]
     assert [ctor_label(c) for c in fam.datatype("B").constructors] == \
         ["leq", "eq", "not"]
+
+
+def _grammar(fun: str, constraint: str = "(>= (f x y) x)"):
+    text = (f"(set-logic LIA)\n(synth-fun {fun})\n(declare-var x Int)\n"
+            f"(declare-var y Int)\n(constraint {constraint})\n"
+            "(check-synth)")
+    return parse_problem(text).functions[0].grammar
+
+
+def _labels(g):
+    return [(d.name, [ctor_label(c) for c in d.constructors])
+            for d in grammar_to_datatypes(g).datatypes]
+
+
+def test_a_unit_production_cycle_adds_no_constructor():
+    # I -> I derives nothing I does not; splicing it in used to recurse
+    # forever.
+    rules = "(x y 0 (+ I I) (ite B I I))) (B Bool ((<= I I)))"
+    plain = _grammar(f"f ((x Int) (y Int)) Int ((I Int) (B Bool)) "
+                     f"((I Int {rules})")
+    cyclic = _grammar(f"f ((x Int) (y Int)) Int ((I Int) (B Bool)) "
+                      f"((I Int (I {rules[1:]})")
+    assert len(cyclic.rules) == len(plain.rules) + 1
+    assert _labels(cyclic) == _labels(plain)
+
+
+def test_compiling_a_wide_grammar_tries_no_permutation_of_unlike_rules(
+        monkeypatch):
+    # and/or over nine children each have 9! child permutations, and
+    # their normal forms' heads differ, so none is tried. The names are
+    # this test's own, so the compile cache cannot answer it.
+    calls = Counter()
+    real = enumsearch.normalize
+
+    def counted(t):
+        calls["normalize"] += 1
+        return real(t)
+
+    monkeypatch.setattr(enumsearch, "normalize", counted)
+    nine = " ".join(["Wb"] * 9)
+    g = _grammar(f"f ((x Int) (y Int)) Bool ((Wb Bool) (Wi Int)) "
+                 f"((Wb Bool ((and {nine}) (or {nine}) (<= Wi Wi))) "
+                 f"(Wi Int (x y 0 1)))", "(= (f x y) (<= x y))")
+    assert [labels for _, labels in _labels(g)] == \
+        [["and", "or", "leq"], ["x", "y", "0", "1"]]
+    assert 0 < calls["normalize"] < 100
 
 
 def test_default_grammar_shape():
@@ -434,6 +481,10 @@ POOL_GRAMMARS = {
     "between_grammar":
         lambda: load_golden("between_grammar.sy").functions[0].grammar,
     "default": lambda: default_grammar(FunSort((INT,), INT), ("x",)),
+    # (+ x x) is composed twice in I's level 1, by (+ I I) and (+ I J).
+    "ambiguous": lambda: _grammar(
+        "f ((x Int) (y Int)) Int ((I Int) (J Int)) "
+        "((I Int (x y (+ I I) (+ I J))) (J Int (x 1)))"),
 }
 
 
@@ -504,20 +555,68 @@ def test_a_shared_pool_answers_as_fresh_calls_do(name):
             assert list(got.items()) == list(fresh.items()), (nt, size)
 
 
+@pytest.mark.parametrize("cut", [5, 40, 200, 1000, 3000])
+@pytest.mark.parametrize("cut_sampled", [False, True])
 def test_a_pool_cut_short_by_the_deadline_answers_as_a_fresh_one(
-        monkeypatch):
-    # The clock ticks once per deadline check, so the first call stops
-    # inside a level; the keys it admitted there must not stay behind.
+        monkeypatch, cut, cut_sampled):
+    # The clock ticks once per deadline check, so the first call, sampled
+    # or not, stops inside a level; the keys it admitted there must not
+    # stay behind. A sampled call, then an unsampled one, follow it.
     ticks = itertools.count()
     monkeypatch.setattr(enumsearch, "time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
     g = POOL_GRAMMARS["between_grammar"]()
-    pool = KeyedPool(g, Context(deadline=40))
+    rng = random.Random(cut)
+    rows = [{p.name: rng.randint(-5, 5) for p in g.params}
+            for _ in range(6)]
+    t = rng.choice(oracle_terms(g, 3))
+    sample = (rows, tuple(evaluate(t, row) for row in rows))
+    pool = KeyedPool(g, Context(deadline=cut))
     with pytest.raises(TimedOut):
-        g.terms_upto(3, pool=pool)
+        g.terms_upto(3, sample=sample if cut_sampled else None, pool=pool)
     pool.ctx.deadline = None
+    assert list(g.terms_upto(3, sample=sample, pool=pool).items()) == \
+        list(g.terms_upto(3, sample=sample).items())
     assert list(g.terms_upto(3, pool=pool).items()) == \
         list(g.terms_upto(3).items())
+
+
+ORDER_GRAMMARS = sorted(p.name for p in GOLDEN.glob("*.sy")) + ["default"]
+
+
+@pytest.mark.parametrize("name", ORDER_GRAMMARS)
+def test_pool_levels_do_not_depend_on_the_order_they_are_asked_in(name):
+    # A pool that admits by canonical key per datatype: a level holds
+    # the same terms as a size-major build's, whatever order the
+    # (datatype, size) levels are asked for in.
+    if name == "default":
+        g = default_grammar(FunSort((INT, INT), INT), ("x", "y"))
+    else:
+        f = load_golden(name).functions[0]
+        g = f.grammar or default_grammar(f.fsort, f.param_names)
+    fam = grammar_to_datatypes(g)
+
+    def keyed():
+        seen = {d.name: set() for d in fam.datatypes}
+
+        def admit(dtname, t):
+            key = canonical_key(t)
+            if key in seen[dtname]:
+                return False
+            seen[dtname].add(key)
+            return True
+
+        return Pools(fam, admit)
+
+    asks = [(d.name, size) for size in range(4) for d in fam.datatypes]
+    size_major = keyed()
+    want = {ask: size_major.level(*ask) for ask in asks}
+    rng = random.Random(0)
+    for _ in range(30):
+        rng.shuffle(asks)
+        pools = keyed()
+        got = {ask: pools.level(*ask) for ask in asks}
+        assert got == want, asks
 
 
 def test_candidates_stop_at_the_deadline(monkeypatch):

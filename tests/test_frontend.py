@@ -208,6 +208,32 @@ def test_each_input_error_kind_exits_2(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_CYCLE = """(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int ((I Int) (J Int) (B Bool))
+  ((I Int (J x y (ite B I I))) (J Int (I 0)) (B Bool (({})))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (>= (f x y) x))
+(constraint (>= (f x y) y))
+(constraint (or (= (f x y) x) (= (f x y) y)))
+(check-synth)
+"""
+
+
+# CEGQI's answer compares with <=, so under (>= I J) the portfolio
+# reconstructs it.
+@pytest.mark.parametrize("mode,cond", [("enum", "<= J I"),
+                                       ("auto", ">= I J")])
+def test_a_unit_production_cycle_solves(mode, cond, tmp_path, capsys):
+    # I -> J and J -> I: compiling the grammar, in the search or in
+    # reconstruction, used to end in a RecursionError.
+    path = tmp_path / "cycle.sy"
+    path.write_text(_CYCLE.format(cond))
+    assert cli_main(["--mode", mode, str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("(define-fun f ((x Int) (y Int)) Int (ite ")
+
+
 def test_a_right_literal_factor_and_false_parse():
     assert parse_problem(_F.format("(= (f x) (* x 2))")) == \
         parse_problem(_F.format("(= (f x) (* 2 x))"))
