@@ -10,7 +10,10 @@ subterms are shared. A candidate joins its level only when its
 canonical key (simplified term) is new for its datatype, and, on an
 example conjecture, its signature (its values at the example points,
 composed from its children's) is new too. Levels hold retained terms
-only, so these two tests are the whole of the symmetry breaking.
+only, so these two tests are the whole of the symmetry breaking. The
+search's top level, the start datatype's, is streamed: each candidate
+is checked as soon as it is admitted, so composing stops at the first
+solution. Children's levels are built whole.
 
 An input-output example conjecture is decided by the candidates'
 signatures, with no solver call. Every other conjecture is
@@ -505,7 +508,8 @@ class Pools:
     terms, so subterms are shared. ``admit`` sees every composed
     (datatype name, term) once and decides whether the term joins its
     level; an exception it raises stops the enumeration, and the level
-    it stopped is built anew when next asked for. A datatype's levels
+    it stopped is built anew when next asked for, as is a level whose
+    ``upto`` stream was abandoned. A datatype's levels
     are built smallest first, whatever order they are asked for in, so
     ``admit`` sees each datatype's terms in size order. When it admits
     by what the same datatype admitted before, the first term admitted
@@ -523,22 +527,25 @@ class Pools:
 
     def level(self, dtname: str, size: int) -> list[Term]:
         got = self._levels.get((dtname, size))
-        if got is not None:
-            return got
+        if got is None:
+            got = self._levels[(dtname, size)] = \
+                list(self._compose(dtname, size))
+        return got
+
+    def _compose(self, dtname: str, size: int) -> Iterator[Term]:
+        """The terms of level ``size`` of ``dtname``, each yielded as
+        ``admit`` accepts it, once level ``size - 1`` is built."""
         if size > 0:
             self.level(dtname, size - 1)
-        out: list[Term] = []
-        if size == 0:
+        else:
             for c in self.family.datatype(dtname).constructors:
                 if c.arity() == 0 and self.admit(dtname, c.leaf):
-                    out.append(c.leaf)
+                    yield c.leaf
         for c, parts in self.compositions(dtname, size):
             for combo in itertools.product(*parts):
                 t = App(c.op, combo)
                 if self.admit(dtname, t):
-                    out.append(t)
-        self._levels[(dtname, size)] = out
-        return out
+                    yield t
 
     def compositions(self, dtname: str, size: int
                      ) -> Iterator[tuple[Constructor, list[list[Term]]]]:
@@ -558,8 +565,19 @@ class Pools:
                     yield c, parts
 
     def upto(self, dtname: str, max_size: int) -> Iterator[Term]:
+        """The terms of ``dtname`` up to ``max_size``, in level order. A
+        level not yet built is streamed: each term is yielded as it is
+        admitted, and the level is kept only once it is complete."""
         for size in range(max_size + 1):
-            yield from self.level(dtname, size)
+            got = self._levels.get((dtname, size))
+            if got is not None:
+                yield from got
+                continue
+            out: list[Term] = []
+            for t in self._compose(dtname, size):
+                out.append(t)
+                yield t
+            self._levels[(dtname, size)] = out
 
 
 Sample = tuple[list[dict[str, Value]], tuple]  # rows, values at the rows
@@ -757,8 +775,9 @@ class EnumSession:
         return "retained"
 
     def candidates(self, max_size: int) -> Iterator[Term]:
-        """Retained start-datatype terms, in size order. Raises TimedOut
-        once the deadline passes while a level is being built."""
+        """Retained start-datatype terms, in size order, each as soon as
+        it is retained. Raises TimedOut once the deadline passes while a
+        level is being built."""
         check = self.ctx.check
 
         def admit(dtname: str, term: Term) -> bool:
@@ -804,10 +823,7 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily,
     for body in session.candidates(max_size):
         session.ctx.check()
         if points is not None:
-            # A level is admitted whole before its first term is
-            # yielded, so the first match of the level is recorded.
-            body = session.sigs[family.start].get(want)
-            if body is None:
+            if session.sigs[family.start].get(want) is not body:
                 continue
             return {f.name: Lambda(params, body)}, session.stats
         sol = {f.name: Lambda(params, body)}

@@ -41,6 +41,20 @@ def load_golden(name: str):
     return parse_problem((GOLDEN / name).read_text())
 
 
+def symmetric_bound(offset: int):
+    """f(x, y) = f(y, x) and f(x, y) >= x + offset, with no grammar: it
+    is not single-invocation, so it is enumerated over the default
+    grammar, and each step of the offset needs a larger term."""
+    return parse_problem(f"""
+        (set-logic LIA)
+        (synth-fun f ((x Int) (y Int)) Int)
+        (declare-var x Int)
+        (declare-var y Int)
+        (constraint (>= (f x y) (+ x {offset})))
+        (constraint (= (f x y) (f y x)))
+        (check-synth)""")
+
+
 # ---------------------------------------------------------------------------
 # Term shorthands
 

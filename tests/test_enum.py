@@ -581,6 +581,21 @@ def test_a_pool_cut_short_by_the_deadline_answers_as_a_fresh_one(
         list(g.terms_upto(3).items())
 
 
+def keyed_pools(fam):
+    """Pools that admit a term when its canonical key is new for its
+    datatype."""
+    seen = {d.name: set() for d in fam.datatypes}
+
+    def admit(dtname, t):
+        key = canonical_key(t)
+        if key in seen[dtname]:
+            return False
+        seen[dtname].add(key)
+        return True
+
+    return Pools(fam, admit)
+
+
 ORDER_GRAMMARS = sorted(p.name for p in GOLDEN.glob("*.sy")) + ["default"]
 
 
@@ -595,28 +610,61 @@ def test_pool_levels_do_not_depend_on_the_order_they_are_asked_in(name):
         f = load_golden(name).functions[0]
         g = f.grammar or default_grammar(f.fsort, f.param_names)
     fam = grammar_to_datatypes(g)
-
-    def keyed():
-        seen = {d.name: set() for d in fam.datatypes}
-
-        def admit(dtname, t):
-            key = canonical_key(t)
-            if key in seen[dtname]:
-                return False
-            seen[dtname].add(key)
-            return True
-
-        return Pools(fam, admit)
-
     asks = [(d.name, size) for size in range(4) for d in fam.datatypes]
-    size_major = keyed()
+    size_major = keyed_pools(fam)
     want = {ask: size_major.level(*ask) for ask in asks}
     rng = random.Random(0)
     for _ in range(30):
         rng.shuffle(asks)
-        pools = keyed()
+        pools = keyed_pools(fam)
         got = {ask: pools.level(*ask) for ask in asks}
         assert got == want, asks
+
+
+STREAM_GRAMMARS = dict(POOL_GRAMMARS,
+                       default_int_int=SAMPLE_GRAMMARS["default_int_int"])
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_GRAMMARS))
+def test_a_streamed_top_level_yields_the_levels_a_build_holds(name):
+    # Streamed term by term or built level by level, the pools admit
+    # the same terms in the same order, and keep the same levels.
+    fam = grammar_to_datatypes(STREAM_GRAMMARS[name]())
+    built = keyed_pools(fam)
+    want = [t for size in range(5) for t in built.level(fam.start, size)]
+    streamed = keyed_pools(fam)
+    assert list(streamed.upto(fam.start, 4)) == want
+    assert streamed._levels == built._levels
+
+
+def test_an_abandoned_stream_keeps_no_part_of_its_level():
+    fam = nsi_family()
+    whole = Pools(fam, lambda dt, t: True).level(fam.start, 2)
+    pools = Pools(fam, lambda dt, t: True)
+    below = len(pools.level(fam.start, 0)) + len(pools.level(fam.start, 1))
+    stream = pools.upto(fam.start, 2)
+    for _ in range(below + 3):
+        next(stream)
+    stream.close()
+    assert (fam.start, 2) not in pools._levels
+    assert pools.level(fam.start, 2) == whole
+
+
+@pytest.mark.parametrize("name", ["io_points.sy", "max_sym.sy"])
+def test_the_search_composes_no_candidate_after_its_solution(name,
+                                                             monkeypatch):
+    seen = []
+    process = EnumSession.process
+
+    def recording(session, dtname, term):
+        if dtname == session.family.start:
+            seen.append(term)
+        return process(session, dtname, term)
+
+    monkeypatch.setattr(EnumSession, "process", recording)
+    p = load_golden(name)
+    sol, _ = solve_enum(p, grammar_to_datatypes(p.functions[0].grammar))
+    assert seen[-1] is sol["f"].body
 
 
 def test_candidates_stop_at_the_deadline(monkeypatch):

@@ -36,7 +36,7 @@ from synthlia.terms import (
     sub,
 )
 
-from helpers import GOLDEN, ge, gt, ivar, le, load_golden
+from helpers import GOLDEN, ge, gt, ivar, le, load_golden, symmetric_bound
 
 x, y = ivar("x"), ivar("y")
 
@@ -464,22 +464,28 @@ def test_gave_up_reports_reason_and_stats():
 def test_timeout_is_honoured_inside_a_pool_level():
     # Without a grammar this is enumerated over the default grammar,
     # whose size-6 level alone takes far longer than the timeout: at
-    # offset 3 no candidate is found in 30 s. Offset 2 is solved in
-    # under 2 s when this test runs alone.
-    p = parse_problem("""
-        (set-logic LIA)
-        (synth-fun f ((x Int) (y Int)) Int)
-        (declare-var x Int)
-        (declare-var y Int)
-        (constraint (>= (f x y) (+ x 3)))
-        (constraint (= (f x y) (f y x)))
-        (check-synth)""")
+    # offset 4 no candidate is found in 20 s. Offset 3 is solved in
+    # about 2.3 s, too close to the timeout to tell it apart.
+    p = symmetric_bound(4)
     t0 = time.monotonic()
     out = solve(p, SolverConfig(timeout=2))
     assert time.monotonic() - t0 < 4.0
     assert isinstance(out, GaveUp)
     assert out.reason.startswith("timeout")
     assert out.stats["enumerated"] > 0
+
+
+def test_the_offset_3_symmetric_bound_is_solved_by_enumeration():
+    # Its solution is early in the default grammar's size-6 level, and
+    # the search stops composing there: 145,093 candidates in about
+    # 2.5 s. Composing the whole level first takes 1,476,991, which
+    # ends near the 20 s timeout, past it on a slower machine.
+    p = symmetric_bound(3)
+    out = solve(p, SolverConfig(timeout=20))
+    assert isinstance(out, Success), out.reason
+    assert out.strategy == "enum"
+    assert out.stats["enumerated"] < 200_000
+    assert verify_solution(p, out.solution)
 
 
 def test_timeout_is_honoured_by_the_cegqi_loop():

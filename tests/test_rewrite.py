@@ -43,6 +43,7 @@ from helpers import (
     random_env,
     random_int_term,
     random_term,
+    symmetric_bound,
 )
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
@@ -209,19 +210,27 @@ def _solve_goldens(problems, clear_between):
 def test_memo_state_never_changes_an_answer():
     # Cold, warm, and in reverse order with the memo and the grammar
     # cache emptied before every solve: the memo holds fewer entries
-    # than the 12 solves key, so the passes also differ in what was
-    # evicted. The warm pass solves the cold pass's problems again, so
-    # their classes, kept on them, are warm too.
+    # than the 13 solves key, so the passes also differ in what was
+    # evicted. The goldens stop at their first solution and key too few
+    # terms for that alone; the offset-2 symmetric bound keys more than
+    # the memo holds. The warm pass solves the cold pass's problems
+    # again, so their classes, kept on them, are warm too.
     names = sorted(p.name for p in GOLDEN.glob("*.sy"))
     assert len(names) >= 6
     runs = [(name, mode) for name in names for mode in ("auto", "enum")]
-    problems = [(run, load_golden(run[0])) for run in runs]
+    runs.append(("symmetric+2", "auto"))
+
+    def load(name):
+        return symmetric_bound(2) if name == "symmetric+2" \
+            else load_golden(name)
+
+    problems = [(run, load(run[0])) for run in runs]
     _clear_caches()
     cold = _solve_goldens(problems, clear_between=False)
     assert normalize.cache_info().misses > normalize.cache_info().maxsize
     warm = _solve_goldens(problems, clear_between=False)
     cleared = _solve_goldens(
-        [(run, load_golden(run[0])) for run in reversed(runs)],
+        [(run, load(run[0])) for run in reversed(runs)],
         clear_between=True)
     assert warm == cold
     assert cleared == cold
