@@ -101,6 +101,8 @@ def solve(p: SynthProblem, cfg: Optional[SolverConfig] = None) -> SolveOutput:
                          f"{', '.join(MODES)}")
     if cfg.timeout is not None and not cfg.timeout > 0:
         raise ValueError(f"timeout must be positive, got {cfg.timeout!r}")
+    if min(cfg.max_size, cfg.max_iters, cfg.recon_budget) < 0:
+        raise ValueError("max_size, max_iters and recon_budget must be >= 0")
     t0 = time.monotonic()
     ctx = Context(t0 + cfg.timeout if cfg.timeout is not None else None,
                   cfg.trace)

@@ -320,17 +320,10 @@ def values_at(t: Term, rows: list[dict[str, Value]],
     return got
 
 
-def signature_of(t: Term, family: DatatypeFamily, points: list,
-                 known: Optional[dict] = None) -> tuple:
-    """Values of a candidate term at the example input points, composed
-    in ``known``, ``values_at``'s table at these points (or a new one)."""
-    if not points:
-        raise ValueError("signature requires at least one point")
-    names = [p.name for p in family.params]
-    if any(len(point) != len(names) for point in points):
-        raise ValueError("point arity does not match the formal parameters")
-    return values_at(t, [dict(zip(names, point)) for point in points],
-                     {} if known is None else known)
+def signature_of(t: Term, rows: list, known: dict) -> tuple:
+    """A candidate's signature: its values at the example ``rows``,
+    composed by ``values_at`` in ``known``, the table at the rows."""
+    return values_at(t, rows, known)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +530,7 @@ class Pools:
         ``admit`` accepts it, once level ``size - 1`` is built."""
         if size > 0:
             self.level(dtname, size - 1)
-        else:
+        elif size == 0:
             for c in self.family.datatype(dtname).constructors:
                 if c.arity() == 0 and self.admit(dtname, c.leaf):
                     yield c.leaf
@@ -552,8 +545,8 @@ class Pools:
         """What level ``size`` of ``dtname`` composes, in level order:
         per operator constructor and size split, the constructor and its
         children's levels; its candidates are the constructor over their
-        product, in product order. Empty at size 0."""
-        if size == 0:
+        product, in product order. Empty at size 0 and below."""
+        if size <= 0:
             return
         for c in self.family.datatype(dtname).constructors:
             if c.arity() == 0:
@@ -643,8 +636,8 @@ class KeyedPool:
                   sample: Optional[Sample]) -> dict[Term, Term]:
         # The keys of nt's levels up to a size are the first keys of
         # nt, as many as those levels hold. A sampled call builds the
-        # levels below max_size, and level 0, which holds only leaves.
-        built = max_size + 1 if sample is None else max(max_size, 1)
+        # levels below max_size, or at max_size 0 level 0 (leaves only).
+        built = max_size + (sample is None or max_size == 0)
         kept = itertools.islice(self._keys[nt].items(), sum(
             len(self._pools.level(nt, size)) for size in range(built)))
         if sample is None:
@@ -726,15 +719,24 @@ class EnumSession:
     signatures retained per datatype, which decide what the search's
     pools admit. A composed term is retained only when its key is new
     for its datatype and, when there are example ``points``, so is its
-    signature; there is no other pruning. The session adds its counts
-    to the record of ``ctx``, traces each pruned term to its trace and
-    stops at its deadline."""
+    signature; there is no other pruning. The points are read once:
+    ``examples`` holds their rows and ``values_at``'s table at them. The
+    session adds its counts to the record of ``ctx``, traces each pruned
+    term to its trace and stops at its deadline."""
 
     def __init__(self, family: DatatypeFamily,
                  ctx: Optional[Context] = None, *,
                  points: Optional[list] = None):
         self.family = family
-        self.points = points
+        self.examples = None
+        if points is not None:
+            names = [p.name for p in family.params]
+            if not points:
+                raise ValueError("signature requires at least one point")
+            if any(len(point) != len(names) for point in points):
+                raise ValueError(
+                    "point arity does not match the formal parameters")
+            self.examples = ([dict(zip(names, pt)) for pt in points], {})
         self.ctx = ctx = ctx or Context()
         self.stats, self.trace = ctx.stats, ctx.trace
         # Per datatype: the canonical keys retained, and each signature
@@ -743,9 +745,6 @@ class EnumSession:
             {d.name: set() for d in family.datatypes}
         self.sigs: dict[str, dict[tuple, Term]] = \
             {d.name: {} for d in family.datatypes}
-        # values_at's table at the points: a candidate's signature is
-        # composed from its retained children's values.
-        self.values: dict[Term, tuple] = {}
 
     # -- candidate admission ------------------------------------------------
 
@@ -760,8 +759,8 @@ class EnumSession:
                 self.trace(f"pruned-rewriter {print_term(term)} -> "
                            f"{print_term(key)}")
             return "pruned_rewriter"
-        if self.points is not None:
-            sig = signature_of(term, self.family, self.points, self.values)
+        if self.examples is not None:
+            sig = signature_of(term, *self.examples)
             seen = self.sigs[dtname]
             if sig in seen:
                 self.stats.pruned_signature += 1
@@ -806,8 +805,8 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily,
     is substituted into the conjecture (``apply_solution``) and checked
     by the solver.
 
-    Raises Exhausted when the size cap is reached and TimedOut when
-    the deadline of ``ctx`` passes, also inside a solver call.
+    Raises Exhausted at the size cap, and TimedOut at the deadline of
+    ``ctx``: the pools read it once per candidate, the solver per step.
     """
     if len(p.functions) != 1:
         raise ValueError("enumeration handles a single function")
@@ -821,7 +820,6 @@ def solve_enum(p: SynthProblem, family: DatatypeFamily,
     cex: list[dict] = []
     params = f.param_vars()
     for body in session.candidates(max_size):
-        session.ctx.check()
         if points is not None:
             if session.sigs[family.start].get(want) is not body:
                 continue

@@ -302,6 +302,22 @@ def evaluate(t: Term, env: Mapping[str, Value],
     arguments their value depends on, so an unbound variable in an
     untaken branch raises no EvalError.
     """
+    if isinstance(t, App):  # the commonest node, so tested first
+        op, args = t.op, t.args
+        if op == "ite":
+            return evaluate(args[1] if evaluate(args[0], env, funs) else
+                            args[2], env, funs)
+        if op == "and":
+            return all(evaluate(a, env, funs) for a in args)
+        if op == "or":
+            return any(evaluate(a, env, funs) for a in args)
+        if op == "=>":
+            return (not evaluate(args[0], env, funs)) or \
+                bool(evaluate(args[1], env, funs))
+        fn = OP_VALUES.get(op)
+        if fn is None:
+            raise EvalError(f"unknown operator {op!r}")
+        return fn(*[evaluate(a, env, funs) for a in args])
     if isinstance(t, IntConst):
         return t.value
     if isinstance(t, BoolConst):
@@ -319,23 +335,7 @@ def evaluate(t: Term, env: Mapping[str, Value],
         lam = funs[t.fname]
         return evaluate(lam.body, {p.name: evaluate(a, env, funs)
                                    for p, a in zip(lam.params, t.args)})
-    if isinstance(t, (UFApp, Lambda)):
-        raise EvalError("cannot evaluate a term with unknown functions")
-    op, args = t.op, t.args
-    if op == "ite":
-        return evaluate(args[1] if evaluate(args[0], env, funs) else args[2],
-                        env, funs)
-    if op == "and":
-        return all(evaluate(a, env, funs) for a in args)
-    if op == "or":
-        return any(evaluate(a, env, funs) for a in args)
-    if op == "=>":
-        return (not evaluate(args[0], env, funs)) or \
-            bool(evaluate(args[1], env, funs))
-    fn = OP_VALUES.get(op)
-    if fn is None:
-        raise EvalError(f"unknown operator {op!r}")
-    return fn(*[evaluate(a, env, funs) for a in args])
+    raise EvalError("cannot evaluate a term with unknown functions")
 
 
 # ---------------------------------------------------------------------------

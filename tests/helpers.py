@@ -218,6 +218,12 @@ def raw_terms(family: DatatypeFamily, max_size: int):
     return Pools(family, lambda dt, t: True).upto(family.start, max_size)
 
 
+def evaluated_signature(t: Term, rows: list[dict]) -> tuple:
+    """A term's values at ``rows`` by direct recursive evaluation of the
+    whole term at each row, sharing nothing with the value composer."""
+    return tuple(evaluate(t, row) for row in rows)
+
+
 def consistent(stats: SolveStats) -> bool:
     """Every enumerated candidate was retained or pruned, once."""
     return stats.enumerated == (stats.retained + stats.pruned_rewriter

@@ -165,7 +165,7 @@ def test_criterion_7_io_signature_pruning(capsys):
     points = [list(ins) for ins, _ in cls.points]
     family = grammar_to_datatypes(p.functions[0].grammar)
     session = EnumSession(family, points=points)
-    sig_x = signature_of(x, family, points)
+    sig_x = signature_of(x, session.examples[0], {})
     session.process("I", x)
     decision = session.process("I", ite(le(y, x), x, y))
     elapsed = time.monotonic() - t0

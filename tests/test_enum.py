@@ -52,6 +52,7 @@ from helpers import (
     GOLDEN,
     consistent,
     ctor_label,
+    evaluated_signature,
     ge,
     ivar,
     key_set,
@@ -205,7 +206,7 @@ def eval_coherence_sample(n: int, seed: int = 19) -> int:
         nt, t = rng.choice(drawn)
         point = (rng.randint(-5, 5), rng.randint(-5, 5))
         env = {"x": point[0], "y": point[1]}
-        assert signature_of(pooled[nt][canonical_key(t)], fam, [point]) == \
+        assert signature_of(pooled[nt][canonical_key(t)], [env], {}) == \
             (evaluate(t, env),)
     return n
 
@@ -215,13 +216,42 @@ def test_signature_matches_analog_evaluation():
 
 
 def test_signature_of_on_example_points():
+    rows = [{"x": a, "y": b} for a, b in EQ12_POINTS]
+    assert signature_of(x, rows, {}) == (1, 2, 7)
+    assert signature_of(IntConst(1), rows, {}) == (1, 1, 1)
+
+
+def test_a_session_reads_its_points_once_at_construction():
     fam = io_family()
-    assert signature_of(x, fam, EQ12_POINTS) == (1, 2, 7)
-    assert signature_of(IntConst(1), fam, EQ12_POINTS) == (1, 1, 1)
     with pytest.raises(ValueError):
-        signature_of(x, fam, [])
+        EnumSession(fam, points=[])
     with pytest.raises(ValueError):
-        signature_of(x, fam, [(1, 0), (2,)])
+        EnumSession(fam, points=[(1, 0), (2,)])
+    rows, known = EnumSession(fam, points=EQ12_POINTS).examples
+    assert rows == [{"x": a, "y": b} for a, b in EQ12_POINTS]
+    assert known == {}
+    assert EnumSession(fam).examples is None
+
+
+def test_every_signature_reads_the_session_rows_and_table(monkeypatch):
+    sessions, reads = [], []
+    init = EnumSession.__init__
+
+    def recording_init(session, *args, **kwargs):
+        init(session, *args, **kwargs)
+        sessions.append(session)
+
+    def recording(t, rows, known):
+        reads.append((rows, known))
+        return signature_of(t, rows, known)
+
+    monkeypatch.setattr(EnumSession, "__init__", recording_init)
+    monkeypatch.setattr(enumsearch, "signature_of", recording)
+    solve_enum(load_golden("io_points.sy"), io_family())
+    [session] = sessions
+    rows, known = session.examples
+    assert len(reads) > 1
+    assert all(r is rows and k is known for r, k in reads)
 
 
 def test_a_session_keeps_the_terms_of_its_values():
@@ -532,6 +562,20 @@ def test_terms_upto_with_a_sample_keeps_the_matching_terms(name):
             assert list(got.items()) == expected, (nt, t)
 
 
+def test_no_pool_holds_terms_below_size_0():
+    # A negative size used to count as 0 in a level's composition, which
+    # recursed downward through (not B) without end.
+    g = POOL_GRAMMARS["between_grammar"]()
+    rows = [{"x": 1, "y": 0}]
+    for nt in g.nonterminals:
+        assert g.terms_upto(-1, nt, sample=(rows, (1,))) == {}
+        assert g.terms_upto(-1, nt) == {}
+    pools = Pools(grammar_to_datatypes(g), lambda dt, t: True)
+    for dt in g.nonterminals:
+        assert pools.level(dt, -1) == []
+        assert list(pools.compositions(dt, -1)) == []
+
+
 @pytest.mark.parametrize("name", sorted(POOL_GRAMMARS))
 def test_a_shared_pool_answers_as_fresh_calls_do(name):
     # One pool serves every nonterminal, asked for sizes out of order,
@@ -690,7 +734,8 @@ PRUNING_SESSIONS = {
 @pytest.mark.parametrize("name", sorted(PRUNING_SESSIONS))
 def test_pruning_is_sound_and_complete_against_raw_values(name):
     session = PRUNING_SESSIONS[name]()
-    fam, points = session.family, session.points
+    fam = session.family
+    rows = session.examples[0] if session.examples else None
     retained: dict[str, list] = {d.name: [] for d in fam.datatypes}
     process = session.process
 
@@ -710,18 +755,18 @@ def test_pruning_is_sound_and_complete_against_raw_values(name):
         keys[dt] = [canonical_key(t) for t in analogs]
         assert len(set(keys[dt])) == len(keys[dt]), dt
         assert set(keys[dt]) == session.keys[dt]
-        if points is not None:
-            sigs[dt] = [signature_of(t, fam, points) for t in analogs]
+        if rows is not None:
+            sigs[dt] = [evaluated_signature(t, rows) for t in analogs]
             assert len(set(sigs[dt])) == len(sigs[dt]), dt
-    if points is not None:
+    if rows is not None:
         assert session.stats.pruned_signature > 0
     # Complete: every unpruned term up to the same size has a retained
     # representative of its datatype, by key or by signature.
     checked = 0
     for analog in raw_terms(fam, 3):
         assert canonical_key(analog) in keys[fam.start] or (
-            points is not None
-            and signature_of(analog, fam, points) in sigs[fam.start]
+            rows is not None
+            and evaluated_signature(analog, rows) in sigs[fam.start]
         ), print_term(analog)
         checked += 1
     assert checked > 1000

@@ -528,6 +528,14 @@ def test_a_nonpositive_timeout_is_rejected(timeout):
     assert out.reason == "cegqi-failed(iteration-cap)"
 
 
+@pytest.mark.parametrize("cap", ["max_size", "max_iters", "recon_budget"])
+def test_a_negative_cap_is_rejected(cap):
+    # A negative reconstruction budget used to recurse without end in
+    # the pools; the CLI rejects caps below 1.
+    with pytest.raises(ValueError, match="must be >= 0"):
+        solve(load_golden("between_grammar.sy"), SolverConfig(**{cap: -1}))
+
+
 def test_cegqi_give_up_keeps_the_loop_reason():
     # between.sy takes two instances; a cap of one stops the loop.
     out = solve(load_golden("between.sy"),
